@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate (docs/testing.md): the tier-1 suite, the bounded tier-2 smoke
-# subset, and tier-1 again under AddressSanitizer -- one command, fails fast.
+# subset, the benchmark's smoke suite, and tier-1 again under
+# AddressSanitizer -- one command, fails fast.
 #
 #   scripts/check.sh            # full gate
 #   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer build (quick local loop)
@@ -15,6 +16,11 @@ ctest --preset tier1
 # tier2-smoke includes the viewer fan-out plan (50k sessions, 16 views,
 # seeded churn waves) alongside the six chaos-plan scenarios.
 ctest --preset tier2-smoke
+# Every perfbench workload at smoke size through its correctness checks
+# (image hashes, frame digest, the 3:1 share, digest agreement across
+# repetitions), so a change that breaks one fails here and not only in the
+# benchmark pipeline. Builds into .bench_build/ on first use.
+python3 -m unittest discover -s perfbench/tests
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --preset asan >/dev/null

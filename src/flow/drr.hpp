@@ -1,4 +1,4 @@
-// Deficit round-robin (DRR) weighted fair queue over named tenants.
+// Deficit round-robin (DRR) weighted fair queue over tenants.
 //
 // Classic Shreedhar/Varghese DRR: each backlogged tenant holds a deficit
 // counter; a visit tops it up by quantum * weight, and the tenant may serve
@@ -16,6 +16,11 @@
 // item stays at the head and is re-offered on the next pop, i.e. a large
 // request head-of-line blocks its own grant but is never starved by smaller
 // requests sneaking past it.
+//
+// Tenants are addressed by dense ids: tenant(name) resolves a name once, and
+// every other call takes the id, so push() and pop() never compare strings.
+// Ids never affect service order; the ring orders tenants by when they
+// became backlogged.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +47,18 @@ namespace colza::flow {
 template <typename Item>
 class DrrQueue {
  public:
+  using TenantId = std::uint32_t;
+
   explicit DrrQueue(std::uint64_t quantum_bytes) : quantum_(quantum_bytes) {}
+
+  // The id of `name`, creating the tenant (weight 1) on first use. Ids are
+  // dense, in creation order, and stable for the queue's lifetime.
+  TenantId tenant(const std::string& name) {
+    auto [it, created] =
+        ids_.try_emplace(name, static_cast<TenantId>(tenants_.size()));
+    if (created) tenants_.emplace_back();
+    return it->second;
+  }
 
   // Weights persist across idle periods (an empty tenant keeps its weight,
   // not its deficit). Weight 0 *pauses* the tenant: its items stay queued
@@ -50,22 +66,11 @@ class DrrQueue {
   // behind "freeze this quality class" style controls. Callers that must
   // guarantee progress for every tenant (the server's stage-grant queue)
   // clamp to >= 1 themselves.
-  void set_weight(const std::string& tenant, std::uint32_t w) {
+  void set_weight(TenantId tenant, std::uint32_t w) {
     tenants_[tenant].weight = w;
   }
 
-  [[nodiscard]] std::uint32_t weight(const std::string& tenant) const {
-    auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? 1 : it->second.weight;
-  }
-
-  [[nodiscard]] std::uint64_t weight_sum() const {
-    std::uint64_t sum = 0;
-    for (const auto& [name, t] : tenants_) sum += t.weight;
-    return sum;
-  }
-
-  void push(const std::string& tenant, Item item, std::uint64_t cost) {
+  void push(TenantId tenant, Item item, std::uint64_t cost) {
     Tenant& t = tenants_[tenant];
     if (t.q.empty()) ring_.push_back(tenant);  // newly backlogged
     t.q.push_back(Entry{std::move(item), cost});
@@ -160,8 +165,9 @@ class DrrQueue {
   }
 
   std::uint64_t quantum_;
-  std::map<std::string, Tenant> tenants_;
-  std::vector<std::string> ring_;  // backlogged tenants, round-robin order
+  std::map<std::string, TenantId> ids_;
+  std::vector<Tenant> tenants_;  // by id
+  std::vector<TenantId> ring_;   // backlogged tenants, round-robin order
   std::size_t cursor_ = 0;
   bool fresh_visit_ = true;  // current cursor tenant not yet topped up
   std::uint64_t queued_bytes_ = 0;

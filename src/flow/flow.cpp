@@ -151,7 +151,7 @@ AcquireResult ServerFlow::acquire(const std::string& pipeline,
   if (drain_ns(over) > allowed) return shed();
 
   auto waiter = std::make_shared<Waiter>(*sim_, pipeline, bytes);
-  queue_.push(pipeline, waiter, bytes);
+  queue_.push(queue_.tenant(pipeline), waiter, bytes);
   obs::MetricsRegistry::global().counter("flow.grants_queued").inc();
   pump();  // the queue may hold only canceled entries ahead of us
   AcquireResult* granted = waiter->outcome.wait_for(allowed);
@@ -263,12 +263,9 @@ void ServerFlow::set_weight(const std::string& pipeline, std::uint32_t weight) {
   // staged-byte grants forever (DrrQueue's pause semantics), and the admin
   // RPC already rejects it -- clamp defensively so a direct caller cannot
   // wedge the staging path either.
-  queue_.set_weight(pipeline, weight == 0 ? 1 : weight);
-  weights_[pipeline] = weight == 0 ? 1 : weight;
-}
-
-std::uint32_t ServerFlow::weight(const std::string& pipeline) const {
-  return queue_.weight(pipeline);
+  const std::uint32_t w = weight == 0 ? 1 : weight;
+  queue_.set_weight(queue_.tenant(pipeline), w);
+  weights_[pipeline] = w;
 }
 
 json::Value ServerFlow::quota_json() const {

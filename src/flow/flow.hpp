@@ -103,7 +103,6 @@ class ServerFlow {
 
   // Admin-facing QoS knobs.
   void set_weight(const std::string& pipeline, std::uint32_t weight);
-  [[nodiscard]] std::uint32_t weight(const std::string& pipeline) const;
   [[nodiscard]] json::Value quota_json() const;
 
   // Chaos hooks: artificial budget pressure, as if a phantom tenant charged

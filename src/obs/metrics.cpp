@@ -101,6 +101,7 @@ void MetricsRegistry::reset() {
   histograms_.clear();
   watermarks_.clear();
   epochs_.clear();
+  ++generation_;
 }
 
 }  // namespace colza::obs

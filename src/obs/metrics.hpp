@@ -1,11 +1,13 @@
 // Process-local metrics registry: counters, gauges and log2-bucketed
 // histograms with O(1) hot-path recording.
 //
-// The registry hands out stable references (the maps are node-based), so hot
-// paths look a metric up once and keep the pointer; recording is then a bare
-// increment. Everything is single-threaded by design, like the DES it
-// observes, and recording never touches the virtual clock -- enabling
-// metrics cannot change a timeline.
+// A reference the registry hands out stays valid until reset(), which drops
+// every metric. Hot paths in objects that can outlive a reset hold an
+// obs::Handle instead: it resolves its metric once and again only after a
+// reset, so recording is a bare increment behind one integer compare.
+// Everything is single-threaded by design, like the DES it observes, and
+// recording never touches the virtual clock -- enabling metrics cannot
+// change a timeline.
 //
 // Snapshots: snapshot("label") deep-copies the current values into an epoch
 // list, so the bench harness can dump per-virtual-epoch (per-iteration)
@@ -20,6 +22,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -121,7 +125,7 @@ class MetricsRegistry {
   // call reset() at scenario start so runs are comparable.
   static MetricsRegistry& global();
 
-  // Stable references: look up once, record through the pointer.
+  // References stay valid until reset(); see Handle for longer-lived use.
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
@@ -140,8 +144,13 @@ class MetricsRegistry {
   [[nodiscard]] json::Value to_json() const;
   [[nodiscard]] std::string dump_json() const;
 
-  // Drops every metric and every snapshot.
+  // Drops every metric and every snapshot, and bumps generation().
   void reset();
+
+  // A metric reference taken in an older generation dangles.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
 
  private:
   std::map<std::string, Counter> counters_;
@@ -149,6 +158,46 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, Watermark> watermarks_;
   std::vector<std::pair<std::string, json::Value>> epochs_;
+  std::uint64_t generation_ = 1;
+};
+
+// A metric resolved by name on first use and kept, then re-resolved on the
+// first use after a reset(). Like a by-name lookup, it creates its metric
+// when first used, not when constructed.
+template <typename Metric>
+class Handle {
+ public:
+  explicit Handle(std::string name,
+                  MetricsRegistry& registry = MetricsRegistry::global())
+      : registry_(&registry), name_(std::move(name)) {}
+
+  Metric& operator*() {
+    if (generation_ != registry_->generation()) {
+      metric_ = &resolve();
+      generation_ = registry_->generation();
+    }
+    return *metric_;
+  }
+  Metric* operator->() { return &**this; }
+
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+
+ private:
+  Metric& resolve() {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      return registry_->counter(name_);
+    } else if constexpr (std::is_same_v<Metric, Gauge>) {
+      return registry_->gauge(name_);
+    } else {
+      static_assert(std::is_same_v<Metric, Histogram>);
+      return registry_->histogram(name_);
+    }
+  }
+
+  MetricsRegistry* registry_;
+  std::string name_;
+  Metric* metric_ = nullptr;
+  std::uint64_t generation_ = 0;  // registry generations start at 1
 };
 
 }  // namespace colza::obs

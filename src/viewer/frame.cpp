@@ -14,12 +14,12 @@ namespace {
 // LEB128 varint: run lengths in a delta payload are usually tiny (a few
 // pixels) but can span a whole frame, so fixed-width counters would waste
 // exactly the bytes the delta encoding is trying to save.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+void put_varint(std::uint8_t*& out, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *out++ = static_cast<std::uint8_t>(v);
 }
 
 bool get_varint(std::span<const std::uint8_t> in, std::size_t& cursor,
@@ -92,25 +92,25 @@ EncodedFrame encode_delta(const std::string& pipeline, std::uint32_t camera,
   f.height = img.height;
   // XOR-RLE: alternate (zero_run, literal_len, literal XOR bytes) groups.
   // The XOR stream is mostly zero between nearby frames, so runs dominate.
+  // Worst case is alternating one-byte runs: 3 bytes out per 2 in, plus one
+  // each for a leading empty zero run and a trailing empty literal run.
   const std::size_t n = img.rgba.size();
+  const std::uint8_t* a = img.rgba.data();
+  const std::uint8_t* b = base.rgba.data();
+  f.payload.resize(n + n / 2 + 2);
+  std::uint8_t* out = f.payload.data();
   std::size_t i = 0;
   while (i < n) {
-    std::size_t zeros = 0;
-    while (i + zeros < n && (img.rgba[i + zeros] ^ base.rgba[i + zeros]) == 0) {
-      ++zeros;
-    }
-    put_varint(f.payload, zeros);
-    i += zeros;
-    std::size_t lit = 0;
-    while (i + lit < n && (img.rgba[i + lit] ^ base.rgba[i + lit]) != 0) {
-      ++lit;
-    }
-    put_varint(f.payload, lit);
-    for (std::size_t k = 0; k < lit; ++k) {
-      f.payload.push_back(img.rgba[i + k] ^ base.rgba[i + k]);
-    }
-    i += lit;
+    const std::size_t zeros_at = i;
+    while (i < n && a[i] == b[i]) ++i;
+    put_varint(out, i - zeros_at);
+    const std::size_t lit_at = i;
+    while (i < n && a[i] != b[i]) ++i;
+    put_varint(out, i - lit_at);
+    for (std::size_t k = lit_at; k < i; ++k) *out++ = a[k] ^ b[k];
   }
+  f.payload.resize(static_cast<std::size_t>(out - f.payload.data()));
+  f.payload.shrink_to_fit();  // cached frames keep only what they ship
   f.crc = payload_crc(f.payload);
   f.image_hash = img.hash();
   return f;

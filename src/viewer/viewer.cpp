@@ -25,10 +25,6 @@ std::vector<QualityClass> default_classes() {
   };
 }
 
-obs::Counter& ctr(const char* name) {
-  return obs::MetricsRegistry::global().counter(name);
-}
-
 }  // namespace
 
 // ---- Registry --------------------------------------------------------------
@@ -60,17 +56,17 @@ ViewerTier::ViewerTier(net::Process& proc, rpc::Engine& engine,
     : proc_(&proc),
       engine_(&engine),
       config_(std::move(config)),
-      frame_bytes_metric_("viewer.frame_bytes.p" +
-                          std::to_string(proc.id())),
       mu_(proc.sim()),
       render_cv_(proc.sim()),
       pump_cv_(proc.sim()),
       idle_cv_(proc.sim()),
-      delivery_(config_.quantum_bytes) {
+      delivery_(config_.quantum_bytes),
+      frame_bytes_("viewer.frame_bytes.p" + std::to_string(proc.id())) {
   if (config_.classes.empty()) config_.classes = default_classes();
   if (config_.keyframe_interval == 0) config_.keyframe_interval = 1;
   for (const QualityClass& c : config_.classes) {
-    delivery_.set_weight(c.name, c.weight);
+    class_tenant_.push_back(delivery_.tenant(c.name));
+    delivery_.set_weight(class_tenant_.back(), c.weight);
   }
   install_handlers();
   Registry::add(&proc_->sim(), proc_->id(), this);
@@ -90,52 +86,63 @@ ViewerTier::~ViewerTier() {
 
 std::uint64_t ViewerTier::connect(std::uint32_t quality, net::ProcId remote) {
   const std::uint64_t id = next_session_++;
-  Session s;
-  s.quality = std::min<std::uint32_t>(
+  auto s = std::make_unique<Session>();
+  s->quality = std::min<std::uint32_t>(
       quality, static_cast<std::uint32_t>(config_.classes.size() - 1));
-  s.remote = remote;
-  s.credit = cls(s).burst_bytes;  // buckets start full
-  s.credit_at = proc_->sim().now();
-  sessions_.emplace(id, std::move(s));
+  s->remote = remote;
+  s->credit = cls(*s).burst_bytes;  // buckets start full
+  s->credit_at = proc_->sim().now();
+  sessions_.push_back(std::move(s));
+  ++live_sessions_;
   ++connects_total_;
-  ctr("viewer.connects").inc();
-  obs::MetricsRegistry::global().gauge("viewer.sessions").set(
-      static_cast<double>(sessions_.size()));
+  connects_->inc();
+  sessions_gauge_->set(static_cast<double>(live_sessions_));
   return id;
 }
 
 bool ViewerTier::disconnect(std::uint64_t session) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) return false;
-  for (const auto& [key, sub] : it->second.subs) {
-    auto st = streams_.find(key);
-    if (st != streams_.end()) st->second.subscribers.erase(session);
+  Session* s = find_session(session);
+  if (s == nullptr) return false;
+  for (const Sub& sub : s->subs) {
+    streams_[sub.stream].subscribers.erase(session);
   }
-  sessions_.erase(it);
+  sessions_[session - 1].reset();
+  --live_sessions_;
   ++disconnects_total_;
-  ctr("viewer.disconnects").inc();
-  obs::MetricsRegistry::global().gauge("viewer.sessions").set(
-      static_cast<double>(sessions_.size()));
+  disconnects_->inc();
+  sessions_gauge_->set(static_cast<double>(live_sessions_));
   // Let the pump sweep any now-canceled queue entries so quiesce() settles.
   pump_cv_.notify_one();
   return true;
 }
 
+ViewerTier::StreamId ViewerTier::stream_id(const std::string& pipeline,
+                                           std::uint32_t camera) {
+  auto [it, created] = stream_ids_.try_emplace(
+      {pipeline, camera}, static_cast<StreamId>(streams_.size()));
+  if (created) {
+    Stream& st = streams_.emplace_back();
+    st.pipeline = pipeline;
+    st.camera = camera;
+  }
+  return it->second;
+}
+
 Status ViewerTier::subscribe(std::uint64_t session, const std::string& pipeline,
                              std::uint32_t camera) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
+  Session* s = find_session(session);
+  if (s == nullptr) {
     return Status::NotFound("viewer session " + std::to_string(session));
   }
-  const StreamKey key{pipeline, camera};
-  Session& s = it->second;
-  SubState& sub = s.subs[key];
-  Stream& st = streams_[key];
+  const StreamId id = stream_id(pipeline, camera);
+  Sub* sub = s->find(id);
+  if (sub == nullptr) sub = &s->subs.emplace_back(Sub{.stream = id});
+  Stream& st = streams_[id];
   st.subscribers.insert(session);
   // A late joiner is immediately offered the stream's current frame.
-  if (st.latest != kNone && !sub.queued) {
-    sub.queued = true;
-    enqueue_delivery(session, s, key, st.cache.at(st.latest));
+  if (st.latest != kNone && !sub->queued) {
+    sub->queued = true;
+    enqueue_delivery(session, *s, id, st.cache.at(st.latest));
   }
   return Status::Ok();
 }
@@ -143,14 +150,16 @@ Status ViewerTier::subscribe(std::uint64_t session, const std::string& pipeline,
 Status ViewerTier::unsubscribe(std::uint64_t session,
                                const std::string& pipeline,
                                std::uint32_t camera) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
+  Session* s = find_session(session);
+  if (s == nullptr) {
     return Status::NotFound("viewer session " + std::to_string(session));
   }
-  const StreamKey key{pipeline, camera};
-  it->second.subs.erase(key);
-  auto st = streams_.find(key);
-  if (st != streams_.end()) st->second.subscribers.erase(session);
+  auto it = stream_ids_.find({pipeline, camera});
+  if (it != stream_ids_.end()) {
+    std::erase_if(s->subs,
+                  [&](const Sub& sub) { return sub.stream == it->second; });
+    streams_[it->second].subscribers.erase(session);
+  }
   pump_cv_.notify_one();
   return Status::Ok();
 }
@@ -166,10 +175,11 @@ void ViewerTier::remove_producer(const std::string& pipeline) {
   producers_.erase(pipeline);
   // Drop frames published but not yet rendered: without a producer they can
   // never be served, and they would wedge quiesce().
-  for (auto it = streams_.lower_bound(StreamKey{pipeline, 0});
-       it != streams_.end() && it->first.first == pipeline; ++it) {
-    pending_renders_ -= it->second.pending.size();
-    it->second.pending.clear();
+  for (auto it = stream_ids_.lower_bound({pipeline, 0});
+       it != stream_ids_.end() && it->first.first == pipeline; ++it) {
+    Stream& st = streams_[it->second];
+    pending_renders_ -= st.pending.size();
+    st.pending.clear();
   }
   maybe_idle();
 }
@@ -179,13 +189,13 @@ void ViewerTier::publish(const std::string& pipeline, std::uint64_t iteration) {
   // application already drained it for this iteration).
   drain(pipeline, iteration);
   if (producers_.find(pipeline) == producers_.end()) {
-    ctr("viewer.publish_no_producer").inc();
+    publish_no_producer_->inc();
     return;
   }
   bool queued = false;
-  for (auto it = streams_.lower_bound(StreamKey{pipeline, 0});
-       it != streams_.end() && it->first.first == pipeline; ++it) {
-    Stream& st = it->second;
+  for (auto it = stream_ids_.lower_bound({pipeline, 0});
+       it != stream_ids_.end() && it->first.first == pipeline; ++it) {
+    Stream& st = streams_[it->second];
     if (st.subscribers.empty()) continue;
     st.pending.push_back(PendingFrame{iteration, st.param});
     ++pending_renders_;
@@ -198,18 +208,18 @@ void ViewerTier::publish(const std::string& pipeline, std::uint64_t iteration) {
 
 void ViewerTier::steer(const std::string& pipeline, SteeringUpdate update) {
   steer_queue_[pipeline].emplace_back(proc_->sim().now(), std::move(update));
-  ctr("viewer.steering_queued").inc();
+  steering_queued_->inc();
 }
 
 void ViewerTier::apply_update(const std::string& pipeline, SteeringRecord rec) {
   if (rec.update.kind ==
       static_cast<std::uint8_t>(SteeringUpdate::Kind::camera)) {
-    streams_[StreamKey{pipeline, rec.update.camera}].param = rec.update.value;
+    streams_[stream_id(pipeline, rec.update.camera)].param = rec.update.value;
   } else {
     params_[pipeline][rec.update.name] = rec.update.value;
   }
   log_.append(std::move(rec));
-  ctr("viewer.steering_applied").inc();
+  steering_applied_->inc();
 }
 
 std::vector<SteeringUpdate> ViewerTier::drain(const std::string& pipeline,
@@ -272,13 +282,14 @@ double ViewerTier::parameter(const std::string& pipeline,
 
 std::size_t ViewerTier::churn(double fraction, std::uint64_t seed) {
   std::vector<std::uint64_t> doomed;
-  for (const auto& [id, s] : sessions_) {
+  for (std::uint64_t id = 1; id <= sessions_.size(); ++id) {
+    if (sessions_[id - 1] == nullptr) continue;
     const double u =
         static_cast<double>(splitmix64(seed ^ id) >> 11) * 0x1.0p-53;
     if (u < fraction) doomed.push_back(id);
   }
   for (std::uint64_t id : doomed) disconnect(id);
-  ctr("viewer.churned").inc(doomed.size());
+  churned_->inc(doomed.size());
   obs::Tracer::global().instant("viewer.churn", "viewer");
   return doomed.size();
 }
@@ -288,7 +299,7 @@ std::size_t ViewerTier::churn(double fraction, std::uint64_t seed) {
 void ViewerTier::render_loop() {
   des::Simulation& sim = proc_->sim();
   for (;;) {
-    StreamKey key;
+    StreamId id = 0;
     PendingFrame pf{};
     Producer producer;
     {
@@ -296,11 +307,12 @@ void ViewerTier::render_loop() {
       for (;;) {
         if (stopped_) return;
         bool found = false;
-        for (auto& [k, st] : streams_) {
+        for (const auto& [key, sid] : stream_ids_) {
+          Stream& st = streams_[sid];
           if (st.pending.empty()) continue;
-          auto pit = producers_.find(k.first);
+          auto pit = producers_.find(key.first);
           if (pit == producers_.end()) continue;
-          key = k;
+          id = sid;
           pf = st.pending.front();
           st.pending.pop_front();
           producer = pit->second;
@@ -311,21 +323,22 @@ void ViewerTier::render_loop() {
         render_cv_.wait(mu_);
       }
     }
+    // Streams never move or die, so this reference survives the yields in
+    // the charge and the producer.
+    Stream& st = streams_[id];
     {
-      obs::SpanScope span("viewer.render.", key.first, "viewer");
+      obs::SpanScope span("viewer.render.", st.pipeline, "viewer");
       // Fixed modeled cost (never wall-measured): rendering happens on the
       // tier's own clock only, so timelines replay bit-identically.
       sim.charge(config_.render_cost);
     }
-    FrameImage img = producer(pf.iteration, key.second, pf.param);
-    // Re-look everything up: the charge above yielded, state may have moved.
-    Stream& st = streams_[key];
+    FrameImage img = producer(pf.iteration, st.camera, pf.param);
     const bool want_key = st.key_iteration == kNone ||
                           st.frame_index % config_.keyframe_interval == 0;
     ++st.frame_index;
     EncodedFrame frame =
-        want_key ? encode_key(key.first, key.second, pf.iteration, img)
-                 : encode_delta(key.first, key.second, pf.iteration, img,
+        want_key ? encode_key(st.pipeline, st.camera, pf.iteration, img)
+                 : encode_delta(st.pipeline, st.camera, pf.iteration, img,
                                 st.key_iteration, st.key_image);
     if (frame.kind == static_cast<std::uint8_t>(FrameKind::key)) {
       st.key_iteration = pf.iteration;
@@ -342,15 +355,15 @@ void ViewerTier::render_loop() {
     }
     ++st.renders;
     ++renders_total_;
-    ctr("viewer.renders").inc();
+    renders_->inc();
     const EncodedFrame& cached = st.cache.at(st.latest);
     for (std::uint64_t sid : st.subscribers) {
-      auto sit = sessions_.find(sid);
-      if (sit == sessions_.end()) continue;
-      SubState& sub = sit->second.subs[key];
-      if (sub.queued) continue;  // already has a delivery in flight
-      sub.queued = true;
-      enqueue_delivery(sid, sit->second, key, cached);
+      Session* s = find_session(sid);
+      if (s == nullptr) continue;
+      Sub* sub = s->find(id);
+      if (sub == nullptr || sub->queued) continue;  // delivery in flight
+      sub->queued = true;
+      enqueue_delivery(sid, *s, id, cached);
     }
     --pending_renders_;
     maybe_idle();
@@ -359,10 +372,9 @@ void ViewerTier::render_loop() {
 
 // ---- delivery pump ---------------------------------------------------------
 
-void ViewerTier::enqueue_delivery(std::uint64_t session_id, Session& s,
-                                  const StreamKey& key,
-                                  const EncodedFrame& frame) {
-  delivery_.push(cls(s).name, DeliveryItem{session_id, key},
+void ViewerTier::enqueue_delivery(std::uint64_t session_id, const Session& s,
+                                  StreamId stream, const EncodedFrame& frame) {
+  delivery_.push(class_tenant_[s.quality], DeliveryItem{session_id, stream},
                  frame.wire_bytes());
   pump_cv_.notify_one();
 }
@@ -389,9 +401,8 @@ void ViewerTier::pump_loop() {
         item = delivery_.pop(
             [](std::uint64_t) { return true; },  // no global byte budget
             [this](const DeliveryItem& it) {
-              auto s = sessions_.find(it.session);
-              return s == sessions_.end() ||
-                     s->second.subs.find(it.stream) == s->second.subs.end();
+              Session* s = find_session(it.session);
+              return s == nullptr || s->find(it.stream) == nullptr;
             });
         if (item.has_value()) break;
         maybe_idle();
@@ -404,60 +415,56 @@ void ViewerTier::pump_loop() {
 }
 
 void ViewerTier::deliver(const DeliveryItem& item) {
-  auto sit = sessions_.find(item.session);
-  if (sit == sessions_.end()) return;
-  Session& s = sit->second;
-  auto subit = s.subs.find(item.stream);
-  if (subit == s.subs.end()) return;
-  SubState& sub = subit->second;
-  sub.queued = false;
-  auto stit = streams_.find(item.stream);
-  if (stit == streams_.end()) return;
-  Stream& st = stit->second;
-  if (st.latest == kNone || sub.delivered == st.latest) return;
+  Session* s = find_session(item.session);
+  if (s == nullptr) return;
+  Sub* sub = s->find(item.stream);
+  if (sub == nullptr) return;
+  sub->queued = false;
+  Stream& st = streams_[item.stream];
+  if (st.latest == kNone || sub->delivered == st.latest) return;
 
   // Skip-to-latest: deliveries always serve the stream's newest frame, never
   // the backlog. A viewer whose base keyframe is stale gets the current
   // keyframe bundled in front of the delta.
   const EncodedFrame& latest = st.cache.at(st.latest);
-  std::vector<const EncodedFrame*> frames;
+  const EncodedFrame* frames[2];
+  std::size_t n = 0;
   if (latest.kind == static_cast<std::uint8_t>(FrameKind::key) ||
-      sub.base == latest.base_iteration) {
-    frames.push_back(&latest);
+      sub->base == latest.base_iteration) {
+    frames[n++] = &latest;
   } else {
     auto kit = st.cache.find(latest.base_iteration);
-    if (kit != st.cache.end()) frames.push_back(&kit->second);
-    frames.push_back(&latest);
+    if (kit != st.cache.end()) frames[n++] = &kit->second;
+    frames[n++] = &latest;
   }
   std::uint64_t total = 0;
-  for (const EncodedFrame* f : frames) total += f->wire_bytes();
+  for (std::size_t i = 0; i < n; ++i) total += frames[i]->wire_bytes();
 
-  refill(s);
-  const QualityClass& c = cls(s);
+  refill(*s);
+  const QualityClass& c = cls(*s);
   // A frame larger than the whole burst is delivered on a full bucket
   // (overdraft) -- otherwise it could never be sent at all.
-  const bool affordable = s.credit >= total || s.credit >= c.burst_bytes;
+  const bool affordable = s->credit >= total || s->credit >= c.burst_bytes;
   if (!affordable) {
-    ++s.skips;
+    ++s->skips;
     ++skips_total_;
-    ctr("viewer.skips").inc();
+    skips_->inc();
     if (c.rate_bytes_per_sec == 0) return;  // unrefillable: drop this wakeup
-    const std::uint64_t deficit = total - s.credit;
+    const std::uint64_t deficit = total - s->credit;
     const auto wait_ns = static_cast<unsigned __int128>(deficit) * 1000000000u /
                              c.rate_bytes_per_sec +
                          1000;
-    sub.queued = true;
+    sub->queued = true;
     ++credit_waits_;
-    const DeliveryItem again = item;
-    const std::uint64_t cost = total;
     proc_->sim().schedule_after(
         static_cast<des::Duration>(wait_ns),
-        [this, again, cost] {
+        [this, alive = std::weak_ptr<bool>(alive_), again = item,
+         cost = total] {
+          if (alive.expired()) return;  // the tier is gone
           --credit_waits_;
-          auto s2 = sessions_.find(again.session);
-          if (s2 != sessions_.end() &&
-              s2->second.subs.find(again.stream) != s2->second.subs.end()) {
-            delivery_.push(cls(s2->second).name, again, cost);
+          Session* s2 = find_session(again.session);
+          if (s2 != nullptr && s2->find(again.stream) != nullptr) {
+            delivery_.push(class_tenant_[s2->quality], again, cost);
             pump_cv_.notify_one();
           } else {
             maybe_idle();
@@ -467,33 +474,32 @@ void ViewerTier::deliver(const DeliveryItem& item) {
     return;
   }
 
-  s.credit = s.credit >= total ? s.credit - total : 0;
+  s->credit = s->credit >= total ? s->credit - total : 0;
   // Commit all bookkeeping before charging: the charge yields, and the
   // frames pointers die with it, so copy what a push session needs first.
   std::vector<EncodedFrame> to_push;
-  if (s.remote != net::kInvalidProc) {
-    to_push.reserve(frames.size());
-    for (const EncodedFrame* f : frames) to_push.push_back(*f);
+  if (s->remote != net::kInvalidProc) {
+    to_push.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) to_push.push_back(*frames[i]);
   }
-  for (const EncodedFrame* f : frames) {
-    if (f->kind == static_cast<std::uint8_t>(FrameKind::key)) {
-      sub.base = f->iteration;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (frames[i]->kind == static_cast<std::uint8_t>(FrameKind::key)) {
+      sub->base = frames[i]->iteration;
     }
   }
-  sub.delivered = st.latest;
-  const auto n = static_cast<std::uint64_t>(frames.size());
-  s.frames += n;
-  s.bytes += total;
+  sub->delivered = st.latest;
+  s->frames += n;
+  s->bytes += total;
   frames_delivered_ += n;
   bytes_delivered_ += total;
-  ctr("viewer.frames_delivered").inc(n);
-  ctr("viewer.bytes_delivered").inc(total);
+  frames_->inc(n);
+  bytes_->inc(total);
   // Wire-size distribution: what the delta codec actually ships per frame
   // (stats_json summarizes it as p50/p99). Recorded before the charge --
   // the `frames` pointers die across the yield.
-  auto& hist = obs::MetricsRegistry::global().histogram(frame_bytes_metric_);
-  for (const EncodedFrame* f : frames) hist.record(f->wire_bytes());
-  const net::ProcId remote = s.remote;
+  obs::Histogram& hist = *frame_bytes_;
+  for (std::size_t i = 0; i < n; ++i) hist.record(frames[i]->wire_bytes());
+  const net::ProcId remote = s->remote;
   proc_->sim().charge(config_.deliver_cost * n);
   for (EncodedFrame& f : to_push) {
     engine_->notify(remote, "colza.viewer.frame", f);
@@ -508,7 +514,7 @@ void ViewerTier::maybe_idle() {
 
 void ViewerTier::set_class_weight(const std::string& cls_name,
                                   std::uint32_t weight) {
-  delivery_.set_weight(cls_name, weight);
+  delivery_.set_weight(delivery_.tenant(cls_name), weight);
   pump_cv_.notify_one();
 }
 
@@ -521,7 +527,7 @@ void ViewerTier::quiesce() {
 
 json::Value ViewerTier::stats_json() const {
   json::Object root;
-  root.emplace("sessions", static_cast<double>(sessions_.size()));
+  root.emplace("sessions", static_cast<double>(live_sessions_));
   root.emplace("connects", static_cast<double>(connects_total_));
   root.emplace("disconnects", static_cast<double>(disconnects_total_));
   root.emplace("renders", static_cast<double>(renders_total_));
@@ -531,13 +537,14 @@ json::Value ViewerTier::stats_json() const {
   root.emplace("cache_hit_rate", cache_hit_rate());
   root.emplace("steering_records", static_cast<double>(log_.size()));
   if (const obs::Histogram* h =
-          obs::MetricsRegistry::global().find_histogram(frame_bytes_metric_);
+          obs::MetricsRegistry::global().find_histogram(frame_bytes_.name());
       h != nullptr && h->count > 0) {
     root.emplace("frame_bytes_p50", h->approx_quantile(0.5));
     root.emplace("frame_bytes_p99", h->approx_quantile(0.99));
   }
   json::Array streams;
-  for (const auto& [key, st] : streams_) {
+  for (const auto& [key, id] : stream_ids_) {
+    const Stream& st = streams_[id];
     json::Object o;
     o.emplace("pipeline", key.first);
     o.emplace("camera", static_cast<double>(key.second));
@@ -628,12 +635,14 @@ void ViewerTier::install_handlers() {
         std::uint32_t camera = 0;
         in.load(pipeline);
         in.load(camera);
-        auto it = streams_.find(StreamKey{pipeline, camera});
-        if (it == streams_.end() || it->second.key_iteration == kNone) {
+        auto it = stream_ids_.find({pipeline, camera});
+        if (it == stream_ids_.end() ||
+            streams_[it->second].key_iteration == kNone) {
           return Status::NotFound("no keyframe for " + pipeline + "/cam" +
                                   std::to_string(camera));
         }
-        out.save(it->second.cache.at(it->second.key_iteration));
+        const Stream& st = streams_[it->second];
+        out.save(st.cache.at(st.key_iteration));
         return Status::Ok();
       });
 

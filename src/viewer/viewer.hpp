@@ -39,6 +39,7 @@
 #include "des/sync.hpp"
 #include "flow/drr.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/engine.hpp"
 #include "viewer/frame.hpp"
 #include "viewer/steering.hpp"
@@ -139,7 +140,7 @@ class ViewerTier {
 
   // ---- introspection -----------------------------------------------------
   [[nodiscard]] std::size_t sessions() const noexcept {
-    return sessions_.size();
+    return live_sessions_;
   }
   [[nodiscard]] std::uint64_t renders_total() const noexcept {
     return renders_total_;
@@ -167,7 +168,7 @@ class ViewerTier {
   // several tiers in one process keep separate distributions; stats_json()
   // summarizes this histogram, not a merged process-global one.
   [[nodiscard]] const std::string& frame_bytes_metric() const noexcept {
-    return frame_bytes_metric_;
+    return frame_bytes_.name();
   }
 
   // Pauses/resumes a whole quality class (DRR weight; 0 = paused).
@@ -181,12 +182,14 @@ class ViewerTier {
   [[nodiscard]] net::ProcId self() const noexcept { return engine_->self(); }
 
  private:
-  using StreamKey = std::pair<std::string, std::uint32_t>;
+  // A stream's handle: its index in streams_, fixed at first subscribe.
+  using StreamId = std::uint32_t;
   static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  struct SubState {
+  struct Sub {
     std::uint64_t delivered = kNone;  // last iteration this session received
     std::uint64_t base = kNone;       // keyframe iteration the viewer holds
+    StreamId stream = 0;
     bool queued = false;              // an entry sits in the delivery queue
   };
 
@@ -198,7 +201,14 @@ class ViewerTier {
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
     std::uint64_t skips = 0;
-    std::map<StreamKey, SubState> subs;
+    std::vector<Sub> subs;  // a session watches a handful of streams
+
+    [[nodiscard]] Sub* find(StreamId stream) noexcept {
+      for (Sub& sub : subs) {
+        if (sub.stream == stream) return &sub;
+      }
+      return nullptr;
+    }
   };
 
   struct PendingFrame {
@@ -207,6 +217,8 @@ class ViewerTier {
   };
 
   struct Stream {
+    std::string pipeline;
+    std::uint32_t camera = 0;
     std::deque<PendingFrame> pending;           // published, not yet rendered
     std::map<std::uint64_t, EncodedFrame> cache;  // iteration -> frame
     FrameImage key_image;                       // pixels of key_iteration
@@ -214,13 +226,13 @@ class ViewerTier {
     std::uint64_t latest = kNone;               // newest cached iteration
     std::uint64_t frame_index = 0;              // keyframe cadence counter
     double param = 0.0;                         // steered camera parameter
-    std::set<std::uint64_t> subscribers;
+    std::set<std::uint64_t> subscribers;        // ascending session id
     std::uint64_t renders = 0;
   };
 
   struct DeliveryItem {
     std::uint64_t session;
-    StreamKey stream;
+    StreamId stream;
   };
 
   void install_handlers();
@@ -228,10 +240,16 @@ class ViewerTier {
   void pump_loop();
   // Serve one popped delivery item (or skip it and schedule a credit wait).
   void deliver(const DeliveryItem& item);
-  void enqueue_delivery(std::uint64_t session_id, Session& s,
-                        const StreamKey& key, const EncodedFrame& frame);
+  void enqueue_delivery(std::uint64_t session_id, const Session& s,
+                        StreamId stream, const EncodedFrame& frame);
   void refill(Session& s);
   void apply_update(const std::string& pipeline, SteeringRecord rec);
+  // The handle of (pipeline, camera), creating the stream on first use.
+  StreamId stream_id(const std::string& pipeline, std::uint32_t camera);
+  // nullptr once the session has disconnected (or for an unknown id).
+  [[nodiscard]] Session* find_session(std::uint64_t id) noexcept {
+    return id - 1 < sessions_.size() ? sessions_[id - 1].get() : nullptr;
+  }
   [[nodiscard]] const QualityClass& cls(const Session& s) const {
     return config_.classes[s.quality];
   }
@@ -240,18 +258,28 @@ class ViewerTier {
   net::Process* proc_;
   rpc::Engine* engine_;
   ViewerConfig config_;
-  std::string frame_bytes_metric_;
   des::Mutex mu_;
   des::CondVar render_cv_;
   des::CondVar pump_cv_;
   des::CondVar idle_cv_;
   bool stopped_ = false;
+  // Credit-wait timers are armed at Simulation scope and can fire after the
+  // tier is gone; they hold this token weakly and do nothing once it dies.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
+  // Session ids are dense and never reused: id N lives at sessions_[N - 1],
+  // which is null once it disconnects.
   std::uint64_t next_session_ = 1;
-  std::map<std::uint64_t, Session> sessions_;
-  std::map<StreamKey, Stream> streams_;
+  std::vector<std::unique_ptr<Session>> sessions_;
+  std::size_t live_sessions_ = 0;
+  // Streams are never erased, so a StreamId stays valid (and a deque keeps
+  // each Stream in place) for the tier's lifetime. stream_ids_ iterates in
+  // (pipeline, camera) order, the order the render fiber scans.
+  std::deque<Stream> streams_;
+  std::map<std::pair<std::string, std::uint32_t>, StreamId> stream_ids_;
   std::map<std::string, Producer> producers_;
   flow::DrrQueue<DeliveryItem> delivery_;
+  std::vector<flow::DrrQueue<DeliveryItem>::TenantId> class_tenant_;
   std::uint64_t pending_renders_ = 0;  // published frames not yet rendered
   std::uint64_t credit_waits_ = 0;     // scheduled re-queues outstanding
 
@@ -265,13 +293,25 @@ class ViewerTier {
   std::optional<SteeringLog> replay_;
   std::uint64_t next_seq_ = 1;
 
-  // Totals (mirrored into obs counters as they happen).
+  // Totals, recorded into obs metrics as they happen.
   std::uint64_t renders_total_ = 0;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t skips_total_ = 0;
   std::uint64_t connects_total_ = 0;
   std::uint64_t disconnects_total_ = 0;
+  obs::Handle<obs::Counter> connects_{"viewer.connects"};
+  obs::Handle<obs::Counter> disconnects_{"viewer.disconnects"};
+  obs::Handle<obs::Gauge> sessions_gauge_{"viewer.sessions"};
+  obs::Handle<obs::Counter> publish_no_producer_{"viewer.publish_no_producer"};
+  obs::Handle<obs::Counter> steering_queued_{"viewer.steering_queued"};
+  obs::Handle<obs::Counter> steering_applied_{"viewer.steering_applied"};
+  obs::Handle<obs::Counter> churned_{"viewer.churned"};
+  obs::Handle<obs::Counter> renders_{"viewer.renders"};
+  obs::Handle<obs::Counter> skips_{"viewer.skips"};
+  obs::Handle<obs::Counter> frames_{"viewer.frames_delivered"};
+  obs::Handle<obs::Counter> bytes_{"viewer.bytes_delivered"};
+  obs::Handle<obs::Histogram> frame_bytes_;  // see frame_bytes_metric()
 };
 
 // Process-global lookup from (simulation, proc) to its ViewerTier, so the

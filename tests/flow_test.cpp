@@ -42,127 +42,170 @@ TEST(FairShare, Math) {
 
 // ----------------------------------------------------------------------- DRR
 
+// Runs a DRR case once per tenant-id layout. Each case resolves its tenants
+// by name through DrrQueue::tenant() and then works on the ids. In the first
+// layout ids follow the case's own first use; in the second, an unused decoy
+// and the case's tenants in reverse were resolved beforehand, so ids run
+// against first-use order. Service order must follow when a tenant became
+// backlogged, never which id it holds.
+template <typename Case>
+void for_each_id_layout(std::uint64_t quantum,
+                        const std::vector<std::string>& tenants, Case run) {
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "ids reversed" : "ids in first-use order");
+    flow::DrrQueue<int> q(quantum);
+    if (reversed) {
+      q.tenant("decoy");
+      for (auto it = tenants.rbegin(); it != tenants.rend(); ++it) {
+        q.tenant(*it);
+      }
+    }
+    run(q);
+  }
+}
+
 TEST(Drr, WeightedServiceConvergesToRatio) {
-  flow::DrrQueue<int> q(/*quantum=*/1000);
-  q.set_weight("a", 3);
-  q.set_weight("b", 1);
-  for (int i = 0; i < 40; ++i) {
-    q.push("a", 1000 + i, 1000);  // item ids 1000.. are a's
-    q.push("b", 2000 + i, 1000);  // 2000.. are b's
-  }
-  auto always = [](std::uint64_t) { return true; };
-  auto never_canceled = [](int) { return false; };
-  int a_served = 0;
-  int b_served = 0;
-  // Over the first 24 pops the byte ratio must track the 3:1 weights within
-  // one quantum of slack per tenant (Shreedhar/Varghese fairness bound).
-  for (int i = 0; i < 24; ++i) {
-    auto item = q.pop(always, never_canceled);
-    ASSERT_TRUE(item.has_value());
-    (*item < 2000 ? a_served : b_served)++;
-  }
-  EXPECT_GE(a_served, 17);  // ideal 18
-  EXPECT_LE(b_served, 7);   // ideal 6
-  EXPECT_GT(b_served, 0);   // ... but never starved
+  for_each_id_layout(/*quantum=*/1000, {"a", "b"}, [](flow::DrrQueue<int>& q) {
+    const auto a = q.tenant("a");
+    const auto b = q.tenant("b");
+    q.set_weight(a, 3);
+    q.set_weight(b, 1);
+    for (int i = 0; i < 40; ++i) {
+      q.push(a, 1000 + i, 1000);  // item ids 1000.. are a's
+      q.push(b, 2000 + i, 1000);  // 2000.. are b's
+    }
+    auto always = [](std::uint64_t) { return true; };
+    auto never_canceled = [](int) { return false; };
+    int a_served = 0;
+    int b_served = 0;
+    // Over the first 24 pops the byte ratio must track the 3:1 weights
+    // within one quantum of slack per tenant (Shreedhar/Varghese fairness
+    // bound).
+    for (int i = 0; i < 24; ++i) {
+      auto item = q.pop(always, never_canceled);
+      ASSERT_TRUE(item.has_value());
+      (*item < 2000 ? a_served : b_served)++;
+    }
+    EXPECT_GE(a_served, 17);  // ideal 18
+    EXPECT_LE(b_served, 7);   // ideal 6
+    EXPECT_GT(b_served, 0);   // ... but never starved
+  });
 }
 
 TEST(Drr, BudgetHeadOfLineBlocksWithoutLosingDeficit) {
-  flow::DrrQueue<int> q(/*quantum=*/1000);
-  q.push("a", 1, 3000);  // large head
-  q.push("b", 2, 500);
-  auto never_canceled = [](int) { return false; };
-  // Nothing over 100 bytes fits: the fair-next item head-of-line blocks and
-  // pop reports nullopt rather than letting b's small item sneak past once
-  // a's deficit covers its head.
-  auto tight = [](std::uint64_t cost) { return cost <= 100; };
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(q.pop(tight, never_canceled).has_value());
-  }
-  EXPECT_EQ(q.queued_items(), 2u);
-  // With the budget open, both drain in fair order.
-  auto open = [](std::uint64_t) { return true; };
-  ASSERT_TRUE(q.pop(open, never_canceled).has_value());
-  ASSERT_TRUE(q.pop(open, never_canceled).has_value());
-  EXPECT_TRUE(q.empty());
+  for_each_id_layout(/*quantum=*/1000, {"a", "b"}, [](flow::DrrQueue<int>& q) {
+    q.push(q.tenant("a"), 1, 3000);  // large head
+    q.push(q.tenant("b"), 2, 500);
+    auto never_canceled = [](int) { return false; };
+    // Nothing over 100 bytes fits: the fair-next item head-of-line blocks
+    // and pop reports nullopt rather than letting b's small item sneak past
+    // once a's deficit covers its head.
+    auto tight = [](std::uint64_t cost) { return cost <= 100; };
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_FALSE(q.pop(tight, never_canceled).has_value());
+    }
+    EXPECT_EQ(q.queued_items(), 2u);
+    // With the budget open, both drain in fair order.
+    auto open = [](std::uint64_t) { return true; };
+    auto first = q.pop(open, never_canceled);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(*first, 2);  // b was the fair-next item all along
+    auto second = q.pop(open, never_canceled);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(*second, 1);
+    EXPECT_TRUE(q.empty());
+  });
 }
 
 TEST(Drr, ZeroWeightTenantIsPausedInPlace) {
-  flow::DrrQueue<int> q(/*quantum=*/1000);
-  q.set_weight("paused", 0);
-  q.set_weight("live", 1);
-  q.push("paused", 1, 100);
-  q.push("paused", 2, 100);
-  q.push("live", 3, 100);
-  auto open = [](std::uint64_t) { return true; };
-  auto never = [](int) { return false; };
-  // The live tenant drains; the paused tenant is skipped, not served and
-  // not dropped -- its items stay queued in arrival order.
-  auto item = q.pop(open, never);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 3);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(q.pop(open, never).has_value());
-  }
-  EXPECT_EQ(q.queued_items(), 2u);
-  // Resuming serves the held items in their original order.
-  q.set_weight("paused", 2);
-  item = q.pop(open, never);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 1);
-  item = q.pop(open, never);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 2);
-  EXPECT_TRUE(q.empty());
+  for_each_id_layout(
+      /*quantum=*/1000, {"paused", "live"}, [](flow::DrrQueue<int>& q) {
+        const auto paused = q.tenant("paused");
+        const auto live = q.tenant("live");
+        q.set_weight(paused, 0);
+        q.set_weight(live, 1);
+        q.push(paused, 1, 100);
+        q.push(paused, 2, 100);
+        q.push(live, 3, 100);
+        auto open = [](std::uint64_t) { return true; };
+        auto never = [](int) { return false; };
+        // The live tenant drains; the paused tenant is skipped, not served
+        // and not dropped -- its items stay queued in arrival order.
+        auto item = q.pop(open, never);
+        ASSERT_TRUE(item.has_value());
+        EXPECT_EQ(*item, 3);
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_FALSE(q.pop(open, never).has_value());
+        }
+        EXPECT_EQ(q.queued_items(), 2u);
+        // Resuming serves the held items in their original order.
+        q.set_weight(paused, 2);
+        item = q.pop(open, never);
+        ASSERT_TRUE(item.has_value());
+        EXPECT_EQ(*item, 1);
+        item = q.pop(open, never);
+        ASSERT_TRUE(item.has_value());
+        EXPECT_EQ(*item, 2);
+        EXPECT_TRUE(q.empty());
+      });
 }
 
 TEST(Drr, AllTenantsPausedPopsNothing) {
-  flow::DrrQueue<int> q(/*quantum=*/1000);
-  q.set_weight("a", 0);
-  q.set_weight("b", 0);
-  q.push("a", 1, 100);
-  q.push("b", 2, 100);
-  auto open = [](std::uint64_t) { return true; };
-  auto never = [](int) { return false; };
-  // No live tenant anywhere: pop must terminate (not spin) and report empty
-  // service while both backlogs survive intact.
-  EXPECT_FALSE(q.pop(open, never).has_value());
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.queued_items(), 2u);
-  q.set_weight("a", 1);
-  ASSERT_TRUE(q.pop(open, never).has_value());
+  for_each_id_layout(/*quantum=*/1000, {"a", "b"}, [](flow::DrrQueue<int>& q) {
+    const auto a = q.tenant("a");
+    const auto b = q.tenant("b");
+    q.set_weight(a, 0);
+    q.set_weight(b, 0);
+    q.push(a, 1, 100);
+    q.push(b, 2, 100);
+    auto open = [](std::uint64_t) { return true; };
+    auto never = [](int) { return false; };
+    // No live tenant anywhere: pop must terminate (not spin) and report
+    // empty service while both backlogs survive intact.
+    EXPECT_FALSE(q.pop(open, never).has_value());
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.queued_items(), 2u);
+    q.set_weight(a, 1);
+    ASSERT_TRUE(q.pop(open, never).has_value());
+  });
 }
 
 TEST(Drr, CanceledEntriesAreDropped) {
-  flow::DrrQueue<int> q(/*quantum=*/1000);
-  q.push("a", 1, 100);
-  q.push("a", 2, 100);
-  auto open = [](std::uint64_t) { return true; };
-  auto first_canceled = [](int v) { return v == 1; };
-  auto item = q.pop(open, first_canceled);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 2);
-  EXPECT_TRUE(q.empty());
+  for_each_id_layout(/*quantum=*/1000, {"a"}, [](flow::DrrQueue<int>& q) {
+    const auto a = q.tenant("a");
+    q.push(a, 1, 100);
+    q.push(a, 2, 100);
+    auto open = [](std::uint64_t) { return true; };
+    auto first_canceled = [](int v) { return v == 1; };
+    auto item = q.pop(open, first_canceled);
+    ASSERT_TRUE(item.has_value());
+    EXPECT_EQ(*item, 2);
+    EXPECT_TRUE(q.empty());
+  });
 }
 
 TEST(Drr, IdleTenantForfeitsDeficit) {
-  flow::DrrQueue<int> q(/*quantum=*/100);
-  auto open = [](std::uint64_t) { return true; };
-  auto never = [](int) { return false; };
-  // a builds deficit across several visits for one large item, serves it,
-  // then goes idle -- when it comes back its deficit starts from zero.
-  q.push("a", 1, 300);
-  ASSERT_TRUE(q.pop(open, never).has_value());
-  q.push("a", 2, 300);
-  q.push("b", 3, 100);
-  // a cannot serve instantly (needs 3 visits again); b gets through.
-  int b_pos = -1;
-  for (int i = 0; i < 2; ++i) {
-    auto item = q.pop(open, never);
-    ASSERT_TRUE(item.has_value());
-    if (*item == 3) b_pos = i;
-  }
-  EXPECT_GE(b_pos, 0);
-  EXPECT_TRUE(q.empty());
+  for_each_id_layout(/*quantum=*/100, {"a", "b"}, [](flow::DrrQueue<int>& q) {
+    const auto a = q.tenant("a");
+    const auto b = q.tenant("b");
+    auto open = [](std::uint64_t) { return true; };
+    auto never = [](int) { return false; };
+    // a builds deficit across several visits for one large item, serves it,
+    // then goes idle -- when it comes back its deficit starts from zero.
+    q.push(a, 1, 300);
+    ASSERT_TRUE(q.pop(open, never).has_value());
+    q.push(a, 2, 300);
+    q.push(b, 3, 100);
+    // a cannot serve instantly (needs 3 visits again); b gets through.
+    int b_pos = -1;
+    for (int i = 0; i < 2; ++i) {
+      auto item = q.pop(open, never);
+      ASSERT_TRUE(item.has_value());
+      if (*item == 3) b_pos = i;
+    }
+    EXPECT_GE(b_pos, 0);
+    EXPECT_TRUE(q.empty());
+  });
 }
 
 // ---------------------------------------------------------------------- AIMD

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,6 +138,24 @@ TEST(FrameCodec, DeltaWithWrappingRunLengthsIsRejected) {
   auto decoded = decode(f, &base);
   ASSERT_FALSE(decoded.has_value());
   EXPECT_EQ(decoded.status().code(), StatusCode::corrupt);
+}
+
+// The densest delta the codec can emit: the XOR stream alternates one
+// changed and one unchanged byte, starting with a change and ending without
+// one, so the payload fills the encoder's worst-case reservation exactly.
+TEST(FrameCodec, AlternatingByteDeltaRoundTrips) {
+  const FrameImage base = test_image(1, 0, 0.0);
+  FrameImage next = base;
+  for (std::size_t i = 0; i < next.rgba.size(); i += 2) next.rgba[i] ^= 0x5a;
+  const EncodedFrame f = encode_delta("pipe", 0, 2, next, 1, base);
+  EXPECT_EQ(f.kind, static_cast<std::uint8_t>(FrameKind::delta));
+  // An empty leading zero run, then (literal run, zero run) byte pairs, then
+  // an empty trailing literal run: n + n / 2 + 2 bytes.
+  const std::size_t n = next.rgba.size();
+  EXPECT_EQ(f.payload.size(), n + n / 2 + 2);
+  auto decoded = decode(f, &base);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  EXPECT_EQ(*decoded, next);
 }
 
 TEST(FrameCodec, DimensionMismatchFallsBackToKeyframe) {
@@ -317,6 +336,124 @@ TEST(ViewerTier, LateSubscriberGetsCurrentFrame) {
     EXPECT_EQ(rig.tier.frames_delivered(), delivered_before + 1);
   });
   rig.sim.run();
+}
+
+// A tier destroyed while a starved session waits for credit (a server with
+// a co-hosted tier going away mid-run): the wait's timer still fires later
+// in the run and must find the tier gone instead of touching freed state.
+TEST(ViewerTier, CreditWaitOutlivingTheTierIsHarmless) {
+  ViewerConfig cfg;
+  cfg.classes = {{"starved", 1, 100, 400}};
+  des::Simulation sim;
+  net::Network net(sim);
+  auto& proc = net.create_process(1);
+  rpc::Engine engine(proc, net::Profile::mona());
+  auto tier = std::make_unique<ViewerTier>(proc, engine, cfg);
+  tier->set_producer("pipe", test_producer());
+  proc.spawn("driver", [&] {
+    const std::uint64_t id = tier->connect(0);
+    ASSERT_TRUE(tier->subscribe(id, "pipe", 0).ok());
+    for (std::uint64_t it = 1; it <= 5; ++it) {
+      tier->publish("pipe", it);
+      sim.sleep_for(milliseconds(10));
+    }
+    ASSERT_GT(tier->skips_total(), 0u);  // a credit wait is pending
+    tier.reset();
+    sim.sleep_for(seconds(60));  // run on past the wait's deadline
+  });
+  sim.run();
+  EXPECT_EQ(sim.now(), milliseconds(50) + seconds(60));
+}
+
+// Pins the tier's whole delivery schedule: a gold/silver/bronze fan-out over
+// two pipelines with starved bronze sessions waiting for credit, a paused and
+// resumed class, a late subscriber, an unsubscribe, a disconnect, a churn
+// wave and two remote push sessions. Any change to what the tier charges,
+// notifies or schedules, or to the order it does so, moves these numbers.
+TEST(ViewerTier, FanOutDeliveryScheduleIsPinned) {
+  ViewerConfig cfg;
+  cfg.classes = {{"gold", 4, 400ull << 20, 4ull << 20},
+                 {"silver", 2, 100ull << 20, 1ull << 20},
+                 {"bronze", 1, 20'000, 1'500}};
+  des::Simulation sim;
+  net::Network net(sim);
+  auto& tier_proc = net.create_process(1);
+  rpc::Engine tier_engine(tier_proc, net::Profile::mona());
+  ViewerTier tier(tier_proc, tier_engine, cfg);
+  const Producer producer = [](std::uint64_t it, std::uint32_t cam,
+                               double param) {
+    return test_image(it, cam, param, 16, 16);
+  };
+  tier.set_producer("alpha", producer);
+  tier.set_producer("beta", producer);
+
+  auto& gold_proc = net.create_process(2);
+  rpc::Engine gold_engine(gold_proc, net::Profile::mona());
+  ViewerClient gold(gold_engine);
+  gold_proc.spawn("observer", [&] {
+    ASSERT_TRUE(gold.connect(tier_proc.id(), /*quality=*/0).has_value());
+    ASSERT_TRUE(gold.subscribe("alpha", 1).ok());
+  });
+  auto& bronze_proc = net.create_process(3);
+  rpc::Engine bronze_engine(bronze_proc, net::Profile::mona());
+  ViewerClient bronze(bronze_engine);
+  bronze_proc.spawn("observer", [&] {
+    ASSERT_TRUE(bronze.connect(tier_proc.id(), /*quality=*/2).has_value());
+    ASSERT_TRUE(bronze.subscribe("beta", 0).ok());
+  });
+
+  tier_proc.spawn("driver", [&] {
+    std::vector<std::uint64_t> ids;
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      const std::uint64_t id = tier.connect(i % 3);
+      ids.push_back(id);
+      ASSERT_TRUE(tier.subscribe(id, i % 2 == 0 ? "alpha" : "beta", i % 3).ok());
+      if (i % 4 == 0) {
+        ASSERT_TRUE(tier.subscribe(id, "beta", 2).ok());
+      }
+    }
+    sim.sleep_for(milliseconds(5));  // the remote observers subscribe
+    for (std::uint64_t it = 1; it <= 12; ++it) {
+      if (it == 3) tier.set_class_weight("silver", 0);
+      if (it == 4) {
+        const std::uint64_t late = tier.connect(1);
+        ASSERT_TRUE(tier.subscribe(late, "alpha", 0).ok());
+      }
+      if (it == 5) {
+        ASSERT_TRUE(tier.unsubscribe(ids[0], "alpha", 0).ok());
+      }
+      if (it == 6) tier.set_class_weight("silver", 2);
+      if (it == 7) {
+        ASSERT_TRUE(tier.disconnect(ids[5]));
+      }
+      if (it == 9) tier.churn(0.3, 99);
+      tier.publish("alpha", it);
+      tier.publish("beta", it);
+      sim.sleep_for(milliseconds(10));
+    }
+    tier.quiesce();
+    sim.sleep_for(milliseconds(20));  // the last pushes cross the fabric
+  });
+  sim.run();
+
+  EXPECT_EQ(tier.renders_total(), 72u);
+  EXPECT_EQ(tier.frames_delivered(), 114u);
+  EXPECT_EQ(tier.bytes_delivered(), 125048u);
+  EXPECT_EQ(tier.skips_total(), 16u);
+  EXPECT_EQ(tier.sessions(), 8u);
+  EXPECT_EQ(sim.now(), 170353000);
+  EXPECT_EQ(sim.events_processed(), 390u);
+  auto iterations = [](const ViewerClient& c) {
+    std::vector<std::uint64_t> out;
+    for (const auto& r : c.received()) out.push_back(r.iteration);
+    return out;
+  };
+  EXPECT_EQ(gold.decode_failures(), 0u);
+  EXPECT_EQ(bronze.decode_failures(), 0u);
+  EXPECT_EQ(iterations(gold),
+            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
+  // Starved: skipped forward, keyframes 1 and 9 each followed by one delta.
+  EXPECT_EQ(iterations(bronze), (std::vector<std::uint64_t>{1, 4, 9, 12}));
 }
 
 // ----------------------------------------------------------------- steering
