@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Pre-PR gate (docs/testing.md): the tier-1 suite, the bounded tier-2 smoke
 # subset, the benchmark's smoke suite, and tier-1 again under
-# AddressSanitizer -- one command, fails fast.
+# AddressSanitizer and UndefinedBehaviorSanitizer -- one command, fails fast.
 #
 #   scripts/check.sh            # full gate
-#   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer build (quick local loop)
+#   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer builds (quick local loop)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # pin the scalar checksum against the same vectors the SSE4.2 path passed
   # in the default run -- so a hardware/scalar divergence fails the gate).
   COLZA_DES_QUEUE=heap COLZA_SIMD=off ctest --preset asan-tier1
+  # Tier-1 once more under UBSan, which aborts on its first report: wire
+  # decoders and size checks are where overflow and null-pointer UB hide.
+  cmake --preset ubsan >/dev/null
+  cmake --build --preset ubsan -j "$jobs"
+  ctest --preset ubsan-tier1
 fi
 
 echo "check.sh: all green"

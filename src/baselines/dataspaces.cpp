@@ -34,8 +34,8 @@ DataSpaces::DataSpaces(net::Network& net, Config config,
           in.load(version);
           in.load(block_id);
           in.load(handle);
-          std::vector<std::byte> bytes(handle.size);
-          Status st = state->engine->rdma_pull(handle, 0, bytes);
+          std::vector<std::byte> bytes;
+          Status st = state->engine->rdma_pull(handle, 0, handle.size, bytes);
           if (!st.ok()) return st;
           // Store the raw object in the space; decoding happens when the
           // analysis gets it (ds.exec).

@@ -652,8 +652,7 @@ void Server::install_handlers() {
       rb.copyset = meta.copyset;
       rb.sender = info.caller;
       rb.checksum = meta.checksum;
-      rb.data.resize(meta.data.size);
-      Status s = engine_->rdma_pull(meta.data, 0, rb.data);
+      Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, rb.data);
       if (s.ok()) s = verify_pull(rb.data);
       if (!s.ok()) {
         uncharge_on_failure();
@@ -677,8 +676,7 @@ void Server::install_handlers() {
     block.sender = info.caller;
     block.checksum = meta.checksum;
     block.copyset = meta.copyset;
-    block.data.resize(meta.data.size);
-    Status s = engine_->rdma_pull(meta.data, 0, block.data);
+    Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, block.data);
     if (s.ok()) s = verify_pull(block.data);
     if (!s.ok()) {
       uncharge_on_failure();

@@ -115,6 +115,7 @@ class InArchive {
   void read_raw(void* out, std::size_t n) {
     if (n > remaining())
       throw std::runtime_error("InArchive: truncated input");
+    if (n == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, data_.data() + cursor_, n);
     cursor_ += n;
   }

@@ -1,6 +1,7 @@
 #include "flow/flow.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -49,8 +50,10 @@ ServerFlow::~ServerFlow() {
 
 std::uint64_t ServerFlow::drain_ns(std::uint64_t bytes) const noexcept {
   if (config_.drain_gbps <= 0.0) return 0;
-  return static_cast<std::uint64_t>(static_cast<double>(bytes) * 8.0 /
-                                    config_.drain_gbps);
+  // Saturate: a shed hint for a forged wire size must not overflow the cast.
+  const double ns = static_cast<double>(bytes) * 8.0 / config_.drain_gbps;
+  return ns < 0x1p64 ? static_cast<std::uint64_t>(ns)
+                     : std::numeric_limits<std::uint64_t>::max();
 }
 
 std::uint64_t ServerFlow::shed_hint_us(std::uint64_t bytes) const noexcept {
@@ -189,8 +192,11 @@ Status ServerFlow::consume(std::uint64_t grant_id, const std::string& pipeline,
   const std::uint64_t old = slots.count(key) != 0 ? slots[key] : 0;
   // Admit iff the post-state fits: everything currently in use, minus the
   // credit this stage returns (its reservation plus the charge it replaces),
-  // plus the new bytes, stays within budget.
-  if (in_use_ - reserved - old + bytes > config_.budget_bytes) {
+  // plus the new bytes, stays within budget. `bytes` is a wire value, so the
+  // sum is compared in subtraction form: a forged size cannot wrap it back
+  // under the budget.
+  const std::uint64_t kept = in_use_ - reserved - old;
+  if (kept > config_.budget_bytes || bytes > config_.budget_bytes - kept) {
     in_use_ -= reserved;
     ++sheds_total_;
     obs::MetricsRegistry::global().counter("flow.sheds").inc();
@@ -199,7 +205,7 @@ Status ServerFlow::consume(std::uint64_t grant_id, const std::string& pipeline,
                             " bytes exceeds remaining budget",
                         shed_hint_us(bytes));
   }
-  in_use_ = in_use_ - reserved - old + bytes;
+  in_use_ = kept + bytes;
   uncharge(old);
   charge(bytes);
   slots[key] = bytes;

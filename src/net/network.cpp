@@ -25,6 +25,13 @@ namespace {
 des::Duration bytes_over(double gbps, std::size_t bytes) {
   return static_cast<des::Duration>(static_cast<double>(bytes) / gbps);
 }
+
+// [offset, offset + length) lies within `size`, compared without the sum so
+// wire-supplied values cannot wrap past the check.
+bool range_within(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t size) noexcept {
+  return length <= size && offset <= size - length;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- Mailbox
@@ -303,19 +310,29 @@ des::Duration Network::rdma_delay(Process& self, ProcId owner,
 }
 
 Status Network::rdma_get(Process& self, const BulkRef& ref,
-                         std::uint64_t offset, std::span<std::byte> out,
-                         const Profile& profile) {
+                         std::uint64_t offset, std::uint64_t length,
+                         std::vector<std::byte>& out, const Profile& profile) {
   if (!self.alive()) return Status::Unreachable("rdma_get: self is dead");
   if (link_down(self.id(), ref.owner) || link_down(ref.owner, self.id()))
     return Status::Unreachable("rdma_get: link down");
-  if (offset + out.size() > ref.size)
+  if (!range_within(offset, length, ref.size))
     return Status::InvalidArgument("rdma_get: range beyond exposed region");
-  des::Duration delay = rdma_delay(self, ref.owner, out.size(), profile);
+  // Size the destination before the modeled wait, from the owner's live
+  // region: a `ref` that overstates it fails here, before any allocation.
+  // An owner that is gone or a region no longer exposed fails at completion,
+  // after the same modeled wait as a valid pull.
+  if (Process* remote = find(ref.owner); remote != nullptr && remote->alive()) {
+    if (auto region = remote->lookup(ref); region.has_value()) {
+      if (!range_within(offset, length, region->size()))
+        return Status::InvalidArgument("rdma_get: range beyond exposed region");
+      out.reserve(out.size() + length);
+    }
+  }
+  des::Duration delay = rdma_delay(self, ref.owner, length, profile);
   std::uint8_t corrupt_xor = 0;
   std::uint64_t corrupt_offset = 0;
   if (injector_ != nullptr) {
-    const FaultVerdict v =
-        injector_->on_rdma(self, ref.owner, out.size(), delay);
+    const FaultVerdict v = injector_->on_rdma(self, ref.owner, length, delay);
     if (v.drop) {
       // The transfer is lost on the wire: the initiator still waits out the
       // modeled time before its completion queue reports the failure.
@@ -335,13 +352,15 @@ Status Network::rdma_get(Process& self, const BulkRef& ref,
   auto region = remote->lookup(ref);
   if (!region.has_value())
     return Status::NotFound("rdma_get: region not exposed");
-  if (offset + out.size() > region->size())
+  if (!range_within(offset, length, region->size()))
     return Status::InvalidArgument("rdma_get: region shrank");
-  std::memcpy(out.data(), region->data() + offset, out.size());
-  if (corrupt_xor != 0 && !out.empty()) {
+  const std::byte* src = region->data() + offset;
+  out.insert(out.end(), src, src + length);
+  if (corrupt_xor != 0 && length != 0) {
     // Injected wire corruption: the transfer "succeeds" with rotted bytes,
     // as a real silent fault would. Detection is the reader's job.
-    out[corrupt_offset % out.size()] ^= std::byte{corrupt_xor};
+    out[out.size() - length + corrupt_offset % length] ^=
+        std::byte{corrupt_xor};
   }
   return Status::Ok();
 }

@@ -272,10 +272,16 @@ class Network {
                                             const Profile& profile) const;
 
   // ---- one-sided path --------------------------------------------------------
-  // Pulls [offset, offset+out.size()) of the remote exposed region into
-  // `out`. Blocks the calling fiber for the modeled transfer time.
+  // Pulls [offset, offset+length) of the remote exposed region and appends
+  // it to `out`, growing it by exactly `length` bytes with no zero-fill.
+  // Blocks the calling fiber for the modeled transfer time. The range is
+  // checked against `ref` and, when the owner's region is live, against that
+  // region before anything is allocated or waited for: `ref` is a wire
+  // value, and a forged length fails fast instead of sizing a buffer. On
+  // failure `out` keeps its size.
   Status rdma_get(Process& self, const BulkRef& ref, std::uint64_t offset,
-                  std::span<std::byte> out, const Profile& profile);
+                  std::uint64_t length, std::vector<std::byte>& out,
+                  const Profile& profile);
   // Pushes `data` into the remote exposed region at `offset`.
   Status rdma_put(Process& self, const BulkRef& ref, std::uint64_t offset,
                   std::span<const std::byte> data, const Profile& profile);

@@ -39,7 +39,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -161,10 +160,12 @@ class Engine {
                  obs::Tracer::global().current());
   }
 
-  // RDMA pull through this engine's protocol profile (the stage() data path).
+  // RDMA pull through this engine's protocol profile (the stage() data path):
+  // appends [offset, offset+length) of `ref` to `out` (net::Network::rdma_get).
   Status rdma_pull(const net::BulkRef& ref, std::uint64_t offset,
-                   std::span<std::byte> out) {
-    return proc_->network().rdma_get(*proc_, ref, offset, out, profile_);
+                   std::uint64_t length, std::vector<std::byte>& out) {
+    return proc_->network().rdma_get(*proc_, ref, offset, length, out,
+                                     profile_);
   }
 
   // Stops the demux loop and fails all pending calls with shutting_down.

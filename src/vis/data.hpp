@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -52,8 +51,8 @@ class DataArray {
   static DataArray make(std::string name, std::span<const T> values,
                         std::uint32_t components = 1) {
     DataArray a(std::move(name), data_type_of<T>(), components);
-    a.bytes_.resize(values.size() * sizeof(T));
-    std::memcpy(a.bytes_.data(), values.data(), a.bytes_.size());
+    const auto* src = reinterpret_cast<const std::byte*>(values.data());
+    a.bytes_.assign(src, src + values.size_bytes());
     return a;
   }
 

@@ -484,8 +484,8 @@ TEST_F(ChaosNetTest, RdmaDropRuleFailsTransferAfterModeledDelay) {
   StatusCode code = StatusCode::ok;
   des::Time done = 0;
   reader.spawn("pull", [&] {
-    std::vector<std::byte> out(256);
-    code = net.rdma_get(reader, ref, 0, out, prof).code();
+    std::vector<std::byte> out;
+    code = net.rdma_get(reader, ref, 0, region.size(), out, prof).code();
     done = sim.now();
   });
   sim.run();
@@ -510,14 +510,15 @@ TEST_F(ChaosNetTest, RdmaCorruptRuleFlipsOneByteInFlight) {
   auto& reader = net.create_process(1);
   std::vector<std::byte> region(256, std::byte{0x5A});
   const net::BulkRef ref = owner.expose(region);
-  std::vector<std::byte> out(256);
+  std::vector<std::byte> out;
   StatusCode code = StatusCode::internal;
   reader.spawn("pull", [&] {
-    code = net.rdma_get(reader, ref, 0, out, prof).code();
+    code = net.rdma_get(reader, ref, 0, region.size(), out, prof).code();
   });
   sim.run();
 
   ASSERT_EQ(code, StatusCode::ok);  // the rot is silent by design
+  ASSERT_EQ(out.size(), region.size());
   std::size_t diffs = 0, diff_at = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] != region[i]) {

@@ -482,6 +482,21 @@ TEST(Crc32c, SeedComposes) {
               common::crc32c(whole))
         << "split at " << split;
   }
+  // Splits inside the hardware path's lanes: a seed must enter and leave
+  // the three-chain blocks (3 x 8 KiB, then 3 x 256 B) intact.
+  std::vector<std::byte> big(3 * 8192 + 3 * 256 + 13);
+  Rng rng(17);
+  for (auto& b : big) b = static_cast<std::byte>(rng.below(256));
+  const std::uint32_t want = common::crc32c(big);
+  for (std::size_t split : {std::size_t{5}, std::size_t{8192 + 3},
+                            std::size_t{2 * 8192 + 4000},
+                            std::size_t{3 * 8192 + 300}}) {
+    const std::span<const std::byte> head(big.data(), split);
+    const std::span<const std::byte> tail(big.data() + split,
+                                          big.size() - split);
+    EXPECT_EQ(common::crc32c(tail, common::crc32c(head)), want)
+        << "split at " << split;
+  }
 }
 
 TEST(Crc32c, DetectsEverySingleBitFlip) {
@@ -498,9 +513,25 @@ TEST(Crc32c, DetectsEverySingleBitFlip) {
 // The dispatch contract: whatever path crc32c() picks (COLZA_SIMD governs
 // it, scripts/check.sh cross-checks both settings), its result is
 // bit-identical to the scalar table fallback -- including every length mod
-// 8 (the hardware path switches from 64-bit to byte steps there) and
-// nonzero seeds.
+// 8 (the hardware path switches from 64-bit to byte steps there), each side
+// of the three-chain block sizes (3 x 256 B and 3 x 8 KiB, whose partial
+// CRCs are spliced by the shift tables), a staging-size block, unaligned
+// starts and nonzero seeds.
 TEST(Crc32c, ActivePathMatchesScalarBitForBit) {
+  auto check = [](std::span<const std::byte> data, std::uint32_t seed,
+                  std::size_t start) {
+    const std::uint32_t scalar =
+        ~common::detail::crc32c_scalar(data.data(), data.size(), ~seed);
+    EXPECT_EQ(common::crc32c(data, seed), scalar)
+        << "len " << data.size() << " start " << start;
+#if defined(__x86_64__)
+    if (common::detail::crc32c_hw_usable()) {
+      EXPECT_EQ(~common::detail::crc32c_hw(data.data(), data.size(), ~seed),
+                scalar)
+          << "len " << data.size() << " start " << start;
+    }
+#endif
+  };
   Rng rng(41);
   for (int round = 0; round < 64; ++round) {
     const std::size_t n = static_cast<std::size_t>(rng.below(1024));
@@ -509,16 +540,19 @@ TEST(Crc32c, ActivePathMatchesScalarBitForBit) {
     const auto seed =
         round % 2 != 0 ? static_cast<std::uint32_t>(rng.below(0x100000000ull))
                        : 0u;
-    const std::uint32_t scalar =
-        ~common::detail::crc32c_scalar(data.data(), data.size(), ~seed);
-    EXPECT_EQ(common::crc32c(data, seed), scalar) << "len " << n;
-#if defined(__x86_64__)
-    if (common::detail::crc32c_hw_usable()) {
-      EXPECT_EQ(~common::detail::crc32c_hw(data.data(), data.size(), ~seed),
-                scalar)
-          << "len " << n;
+    check(data, seed, 0);
+  }
+  constexpr std::size_t kStaged = (2u << 20) + 13;
+  std::vector<std::byte> big(kStaged + 7);
+  for (auto& b : big) b = static_cast<std::byte>(rng.below(256));
+  for (std::size_t n : {std::size_t{767}, std::size_t{768}, std::size_t{769},
+                        std::size_t{24575}, std::size_t{24576},
+                        std::size_t{24577}, kStaged}) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      const auto seed =
+          static_cast<std::uint32_t>(rng.below(0xFFFFFFFFull)) + 1u;
+      check(std::span<const std::byte>(big.data() + start, n), seed, start);
     }
-#endif
   }
 }
 

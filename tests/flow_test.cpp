@@ -16,7 +16,9 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/server.hpp"
+#include "common/archive.hpp"
 #include "common/backoff.hpp"
+#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "flow/aimd.hpp"
 #include "flow/drr.hpp"
@@ -738,6 +740,68 @@ TEST(FlowEndToEnd, DisabledFlowIsInvisible) {
     ASSERT_NE(fl, nullptr);
     EXPECT_FALSE(fl->enabled());
     EXPECT_EQ(fl->staged_bytes(), 0u);
+  }
+}
+
+// A stage's size is a wire field (StageMetadata::data.size). Forged sizes
+// -- past the 4 KiB the client exposed, past any memory, or picked so the
+// flow admission sum wraps back under the budget -- are refused before the
+// server allocates a buffer for them, leave its flow accounting as it was,
+// and a normal stage afterwards still lands. Flow off, and flow on with a
+// budget large enough to admit 1 TiB, so the forged size reaches the pull.
+TEST(FlowEndToEnd, ForgedStageSizeIsRejectedBeforeAllocating) {
+  for (const std::uint64_t budget :
+       {std::uint64_t{0}, std::uint64_t{1} << 42}) {
+    flow::FlowConfig fcfg;
+    fcfg.budget_bytes = budget;
+    FlowWorld w(1, fcfg);
+    w.create_everywhere("pipe", "flow-sink");
+    const net::ProcId server = w.area->alive_addresses().front();
+    flow::ServerFlow* fl = flow::Registry::find(&w.sim, server);
+    ASSERT_NE(fl, nullptr);
+    bool done = false;
+    w.client_proc->spawn("app", [&] {
+      auto h = DistributedPipelineHandle::lookup(
+          *w.client, w.area->bootstrap().contacts(), "pipe");
+      ASSERT_TRUE(h.has_value());
+      ASSERT_TRUE(h->activate(1).ok());
+      std::vector<std::byte> data(4096, std::byte{3});
+      ASSERT_TRUE(h->stage(1, 0, data).ok());
+      const std::uint64_t in_use = fl->in_use_bytes();
+      EXPECT_EQ(in_use, budget > 0 ? data.size() : 0u);
+
+      std::vector<std::uint64_t> forged = {std::uint64_t{1} << 30,
+                                           std::uint64_t{1} << 40,
+                                           ~std::uint64_t{0}};
+      // in_use + size == 2^64 + 1 KiB: wraps under the budget if summed.
+      if (in_use > 0) forged.push_back(0 - in_use + 1024);
+      StageMetadata meta;
+      meta.pipeline = "pipe";
+      meta.iteration = 1;
+      meta.block_id = 1;
+      meta.data = w.client_proc->expose(data);
+      meta.copyset = {server};
+      meta.checksum = common::crc32c(data);
+      for (const std::uint32_t rank : {0u, 1u}) {  // backend slot, replica
+        for (const std::uint64_t size : forged) {
+          StageMetadata m = meta;
+          m.replica_rank = rank;
+          m.data.size = size;
+          auto r = w.client->engine().call_raw(server, "colza.stage", pack(m));
+          EXPECT_FALSE(r.has_value()) << "size " << size << " rank " << rank;
+          EXPECT_EQ(fl->in_use_bytes(), in_use)
+              << "size " << size << " rank " << rank;
+        }
+      }
+      w.client_proc->unexpose(meta.data);
+
+      ASSERT_TRUE(h->stage(1, 1, data).ok());
+      ASSERT_TRUE(h->execute(1).ok());
+      ASSERT_TRUE(h->deactivate(1).ok());
+      done = true;
+    });
+    w.sim.run();
+    ASSERT_TRUE(done) << "budget " << budget;
   }
 }
 

@@ -230,8 +230,8 @@ TEST_F(NetTest, RdmaGetPullsExposedRegion) {
 
   std::string got;
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(data.size());
-    auto st = net.rdma_get(client, ref, 0, out, prof);
+    std::vector<std::byte> out;
+    auto st = net.rdma_get(client, ref, 0, data.size(), out, prof);
     ASSERT_TRUE(st.ok()) << st.to_string();
     got = string_of(out);
     EXPECT_GT(sim.now(), 0u);  // pulling takes virtual time
@@ -246,9 +246,11 @@ TEST_F(NetTest, RdmaGetWithOffset) {
   std::vector<std::byte> data = bytes_of("0123456789");
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(4);
-    ASSERT_TRUE(net.rdma_get(client, ref, 3, out, prof).ok());
-    EXPECT_EQ(string_of(out), "3456");
+    // The pull appends exactly the pulled range after what `out` holds.
+    std::vector<std::byte> out = bytes_of("ab");
+    ASSERT_TRUE(net.rdma_get(client, ref, 3, 4, out, prof).ok());
+    ASSERT_TRUE(net.rdma_get(client, ref, 10, 0, out, prof).ok());
+    EXPECT_EQ(string_of(out), "ab3456");
   });
   sim.run();
 }
@@ -259,12 +261,39 @@ TEST_F(NetTest, RdmaGetBeyondRegionFails) {
   std::vector<std::byte> data(16);
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(17);
-    EXPECT_EQ(net.rdma_get(client, ref, 0, out, prof).code(),
+    std::vector<std::byte> out;
+    EXPECT_EQ(net.rdma_get(client, ref, 0, 17, out, prof).code(),
               StatusCode::invalid_argument);
-    std::vector<std::byte> out2(8);
-    EXPECT_EQ(net.rdma_get(client, ref, 9, out2, prof).code(),
+    EXPECT_EQ(net.rdma_get(client, ref, 9, 8, out, prof).code(),
               StatusCode::invalid_argument);
+    // offset + length wraps to 4: the check must not wrap with it.
+    EXPECT_EQ(
+        net.rdma_get(client, ref, ~std::uint64_t{0} - 3, 8, out, prof).code(),
+        StatusCode::invalid_argument);
+    EXPECT_TRUE(out.empty());
+  });
+  sim.run();
+}
+
+// A BulkRef is a wire value: one that overstates the owner's exposed region
+// fails at once, before the pull allocates its destination or waits out a
+// transfer modeled for the forged size.
+TEST_F(NetTest, RdmaGetForgedLengthFailsBeforeAllocating) {
+  auto& server = net.create_process(0);
+  auto& client = net.create_process(1);
+  std::vector<std::byte> data(4096);
+  BulkRef forged = server.expose(data);
+  client.spawn("pull", [&] {
+    for (std::uint64_t size : {std::uint64_t{4097}, std::uint64_t{1} << 30,
+                               std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      forged.size = size;
+      std::vector<std::byte> out;
+      EXPECT_EQ(net.rdma_get(client, forged, 0, size, out, prof).code(),
+                StatusCode::invalid_argument)
+          << size;
+      EXPECT_EQ(out.capacity(), 0u) << size;
+    }
+    EXPECT_EQ(sim.now(), 0u);
   });
   sim.run();
 }
@@ -276,9 +305,10 @@ TEST_F(NetTest, RdmaGetAfterUnexposeFails) {
   BulkRef ref = server.expose(data);
   server.unexpose(ref);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(64);
-    EXPECT_EQ(net.rdma_get(client, ref, 0, out, prof).code(),
+    std::vector<std::byte> out;
+    EXPECT_EQ(net.rdma_get(client, ref, 0, 64, out, prof).code(),
               StatusCode::not_found);
+    EXPECT_TRUE(out.empty());
   });
   sim.run();
 }
@@ -290,8 +320,8 @@ TEST_F(NetTest, RdmaGetFromDeadOwnerFails) {
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
     server.kill();
-    std::vector<std::byte> out(64);
-    EXPECT_EQ(net.rdma_get(client, ref, 0, out, prof).code(),
+    std::vector<std::byte> out;
+    EXPECT_EQ(net.rdma_get(client, ref, 0, 64, out, prof).code(),
               StatusCode::unreachable);
   });
   sim.run();
@@ -318,13 +348,13 @@ TEST_F(NetTest, RdmaLargeTransferScalesWithSize) {
   BulkRef rl = server.expose(large);
   des::Duration t_small = 0, t_large = 0;
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(small.size());
+    std::vector<std::byte> out;
     des::Time t0 = sim.now();
-    ASSERT_TRUE(net.rdma_get(client, rs, 0, out, prof).ok());
+    ASSERT_TRUE(net.rdma_get(client, rs, 0, small.size(), out, prof).ok());
     t_small = sim.now() - t0;
-    std::vector<std::byte> out2(large.size());
+    std::vector<std::byte> out2;
     t0 = sim.now();
-    ASSERT_TRUE(net.rdma_get(client, rl, 0, out2, prof).ok());
+    ASSERT_TRUE(net.rdma_get(client, rl, 0, large.size(), out2, prof).ok());
     t_large = sim.now() - t0;
   });
   sim.run();
@@ -404,8 +434,8 @@ TEST_F(NetTest, RdmaFailsAcrossDownLink) {
   BulkRef ref = server.expose(data);
   net.set_link_down(client.id(), server.id(), true);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out(32);
-    EXPECT_EQ(net.rdma_get(client, ref, 0, out, prof).code(),
+    std::vector<std::byte> out;
+    EXPECT_EQ(net.rdma_get(client, ref, 0, 32, out, prof).code(),
               StatusCode::unreachable);
   });
   sim.run();

@@ -121,7 +121,7 @@ struct FuzzRecord {
 
 FuzzRecord random_record(Rng& rng) {
   FuzzRecord r;
-  r.id = static_cast<std::int64_t>(rng()) - (1LL << 62);
+  r.id = static_cast<std::int64_t>(rng() - (1ULL << 62));
   const auto len = rng.below(40);
   for (std::uint64_t i = 0; i < len; ++i)
     r.name += static_cast<char>(rng.below(256));

@@ -232,8 +232,8 @@ TEST_F(RpcTest, RdmaPullThroughEngine) {
   std::vector<std::byte> data(1024, std::byte{0x5a});
   net::BulkRef ref = server_proc.expose(data);
   client_proc.spawn("caller", [&] {
-    std::vector<std::byte> out(1024);
-    auto st = client.rdma_pull(ref, 0, out);
+    std::vector<std::byte> out;
+    auto st = client.rdma_pull(ref, 0, data.size(), out);
     ASSERT_TRUE(st.ok());
     EXPECT_EQ(out, data);
   });
