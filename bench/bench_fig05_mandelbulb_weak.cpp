@@ -7,8 +7,10 @@
 // 4 clients per Colza server, staging area of 4..128 servers; 6 iterations,
 // the first discarded (VTK/Python init), the next 5 averaged. This
 // reproduction keeps the topology and measurement protocol and scales the
-// block size down (see EXPERIMENTS.md).
+// block size down (see EXPERIMENTS.md). `--smoke` runs one small scale for
+// three iterations (the tier-1 bench-smoke test).
 #include <cstdio>
+#include <vector>
 
 #include "apps/mandelbulb.hpp"
 #include "bench/bench_util.hpp"
@@ -19,25 +21,31 @@ namespace {
 using namespace colza;
 using namespace colza::bench;
 
-constexpr std::uint32_t kBlockEdge = 12;
 constexpr int kBlocksPerClient = 4;
 constexpr int kClientsPerServer = 4;
-constexpr int kIterations = 6;  // discard #1, average the rest
 
-double run_scale(int servers, const net::Profile& profile) {
+struct Size {
+  std::vector<int> scales;  // staging-area sizes
+  std::uint32_t block_edge;
+  int iterations;  // discard #1, average the rest
+  int image;
+};
+const Size kFull{{4, 8, 16, 32, 64, 128}, 12, 6, 128};
+const Size kSmoke{{4}, 8, 3, 32};
+
+double run_scale(int servers, const net::Profile& profile, const Size& size) {
   HarnessConfig cfg;
   cfg.servers = servers;
   cfg.servers_per_node = 4;
   cfg.clients = servers * kClientsPerServer;
   cfg.clients_per_node = 32;
   cfg.server_profile = profile;
-  cfg.pipeline_json = R"({"preset":"mandelbulb","width":128,"height":128})";
+  cfg.pipeline_json = mandelbulb_pipeline_json(size.image);
 
   const auto total_blocks =
       static_cast<std::uint32_t>(cfg.clients * kBlocksPerClient);
   apps::MandelbulbParams mb;
-  mb.nx = mb.ny = kBlockEdge;
-  mb.nz = kBlockEdge;
+  mb.nx = mb.ny = mb.nz = size.block_edge;
   mb.total_blocks = total_blocks;
 
   ColzaPipelineHarness harness(cfg);
@@ -53,7 +61,7 @@ double run_scale(int servers, const net::Profile& profile) {
     }
     return blocks;
   };
-  auto times = harness.run(kIterations, gen);
+  auto times = harness.run(size.iterations, gen);
   double sum = 0;
   int counted = 0;
   for (const auto& t : times) {
@@ -66,8 +74,9 @@ double run_scale(int servers, const net::Profile& profile) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace colza::bench;
+  const Size& size = smoke_option(argc, argv) ? kSmoke : kFull;
   headline("Fig 5 -- Mandelbulb pipeline, weak scaling, MPI vs MoNA",
            "avg pipeline execution time over 5 iterations, first discarded "
            "(paper Fig 5)");
@@ -75,9 +84,9 @@ int main() {
        "values here are smaller (scaled-down blocks), the shape is the claim");
 
   Table table({"servers", "clients", "mpi_s", "mona_s", "mona_over_mpi"});
-  for (int servers : {4, 8, 16, 32, 64, 128}) {
-    const double mpi = run_scale(servers, net::Profile::cray_mpich());
-    const double mona = run_scale(servers, net::Profile::mona());
+  for (int servers : size.scales) {
+    const double mpi = run_scale(servers, net::Profile::cray_mpich(), size);
+    const double mona = run_scale(servers, net::Profile::mona(), size);
     table.row({std::to_string(servers),
                std::to_string(servers * kClientsPerServer),
                fmt("%.4f", mpi), fmt("%.4f", mona),

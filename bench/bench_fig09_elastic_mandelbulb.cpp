@@ -13,7 +13,9 @@
 // per-phase span sums reproduce the table's totals (verified below), and
 // `--metrics out.json` dumps the metrics registry with one snapshot per
 // iteration. Tracing pins charge_scoped costs (fixed_scoped_charge) so two
-// runs at the same seed produce byte-identical trace files.
+// runs at the same seed produce byte-identical trace files. `--smoke` runs 4
+// clients for three iterations with one node joining after the first (the
+// tier-1 bench-smoke test).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -26,37 +28,54 @@
 #include "bench/colza_harness.hpp"
 #include "obs/trace.hpp"
 
+namespace {
+
+struct Size {
+  int clients;
+  int blocks_per_client;
+  std::uint32_t edge;
+  int iterations;
+  int image;
+  int node_adds;  // one new Colza node every add_interval
+  colza::des::Duration add_interval;
+};
+const Size kFull{16, 4, 16, 40, 128, 6, colza::des::seconds(60)};
+const Size kSmoke{4, 2, 8, 3, 32, 1, colza::des::seconds(15)};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace colza;
   using namespace colza::bench;
 
   std::string trace_path, metrics_path;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--trace out.json] [--metrics out.json]\n",
+                   "usage: %s [--trace out.json] [--metrics out.json] "
+                   "[--smoke]\n",
                    argv[0]);
       return 2;
     }
   }
+  const Size& size = smoke ? kSmoke : kFull;
 
   headline("Fig 9 -- elasticity with Mandelbulb, 2 -> 8 Colza nodes",
            "per-call durations while adding a node every 60 s (paper Fig 9)");
 
-  constexpr int kClients = 16;
-  constexpr int kBlocksPerClient = 4;
-  constexpr int kIterations = 40;
-
   HarnessConfig cfg;
   cfg.servers = 2;
   cfg.servers_per_node = 1;  // paper: 1 Colza process per node here
-  cfg.clients = kClients;
+  cfg.clients = size.clients;
   cfg.clients_per_node = 16;
-  cfg.pipeline_json = R"({"preset":"mandelbulb","width":128,"height":128})";
+  cfg.pipeline_json = mandelbulb_pipeline_json(size.image);
   cfg.compute_between_iterations = des::seconds(10);
   cfg.trace_path = trace_path;
   cfg.metrics_path = metrics_path;
@@ -67,15 +86,16 @@ int main(int argc, char** argv) {
   }
 
   apps::MandelbulbParams mb;
-  mb.nx = mb.ny = mb.nz = 16;
-  mb.total_blocks = kClients * kBlocksPerClient;
+  mb.nx = mb.ny = mb.nz = size.edge;
+  mb.total_blocks =
+      static_cast<std::uint32_t>(size.clients * size.blocks_per_client);
 
   ColzaPipelineHarness harness(cfg);
   auto& sim = harness.sim();
 
   // One new Colza node every 60 s, up to 8 (paper S III-E1).
-  for (int add = 0; add < 6; ++add) {
-    sim.schedule_at(des::seconds(60) * static_cast<std::uint64_t>(add + 1),
+  for (int add = 0; add < size.node_adds; ++add) {
+    sim.schedule_at(size.add_interval * static_cast<std::uint64_t>(add + 1),
                     [&harness, add] {
                       harness.add_server(static_cast<net::NodeId>(10 + add));
                     });
@@ -83,8 +103,9 @@ int main(int argc, char** argv) {
 
   auto gen = [&](int client, std::uint64_t) {
     std::vector<std::pair<std::uint64_t, vis::DataSet>> blocks;
-    for (int b = 0; b < kBlocksPerClient; ++b) {
-      const auto id = static_cast<std::uint64_t>(client * kBlocksPerClient + b);
+    for (int b = 0; b < size.blocks_per_client; ++b) {
+      const auto id =
+          static_cast<std::uint64_t>(client * size.blocks_per_client + b);
       blocks.emplace_back(id, sim.charge_scoped([&] {
         return vis::DataSet{
             apps::mandelbulb_block(mb, static_cast<std::uint32_t>(id))};
@@ -92,7 +113,7 @@ int main(int argc, char** argv) {
     }
     return blocks;
   };
-  auto times = harness.run(kIterations, gen);
+  auto times = harness.run(size.iterations, gen);
 
   Table table({"iteration", "servers", "activate_ms", "stage_ms",
                "execute_ms", "deactivate_ms"});

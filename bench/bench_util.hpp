@@ -5,6 +5,8 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -75,5 +77,23 @@ inline std::string fmt(const char* f, double v) {
 }
 
 inline std::string fmt_ms(double ms) { return fmt("%.3f", ms); }
+
+// For a bench whose only option is `--smoke` (its small size, run by the
+// tier-1 bench-smoke tests): true when given; exits with usage on anything
+// else.
+inline bool smoke_option(int argc, char** argv) {
+  const bool smoke = argc == 2 && std::strcmp(argv[1], "--smoke") == 0;
+  if (argc > 1 && !smoke) {
+    std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+    std::exit(2);
+  }
+  return smoke;
+}
+
+// Catalyst configuration of the Mandelbulb pipeline at image x image.
+inline std::string mandelbulb_pipeline_json(int image) {
+  return R"({"preset":"mandelbulb","width":)" + std::to_string(image) +
+         R"(,"height":)" + std::to_string(image) + "}";
+}
 
 }  // namespace colza::bench

@@ -21,10 +21,14 @@
 //   "trace": "/tmp/trace.json",
 //   "seed": 42
 // }
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "apps/dwi_proxy.hpp"
 #include "apps/gray_scott.hpp"
@@ -52,7 +56,6 @@ struct Scenario {
   std::string app;
   json::Value app_options;
   std::vector<std::pair<std::uint64_t, int>> elastic;  // iteration -> +N
-  std::string trace_path;
 };
 
 Scenario parse_scenario(const json::Value& v) {
@@ -80,8 +83,25 @@ Scenario parse_scenario(const json::Value& v) {
           static_cast<int>(step.number_or("add_servers", 1)));
     }
   }
-  s.trace_path = v.string_or("trace", "");
+  s.harness.trace_path = v.string_or("trace", "");
   return s;
+}
+
+// A whole number >= `min` from app_options. Casting a negative, fractional
+// or out-of-range double to an unsigned count is undefined, so such a value
+// is rejected with a message naming the key.
+std::uint32_t app_count(const json::Value& options, const char* key,
+                        double fallback, std::uint32_t min) {
+  const double v = options.number_or(key, fallback);
+  if (!(v >= min && v <= std::numeric_limits<std::uint32_t>::max() &&
+        v == std::floor(v))) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", v);
+    throw std::invalid_argument(std::string("scenario: app_options.") + key +
+                                " must be an integer >= " +
+                                std::to_string(min) + ", got " + got);
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 // Builds the per-client data generator for the selected application.
@@ -92,16 +112,23 @@ DataGen make_generator(const Scenario& s, ColzaPipelineHarness& harness,
 
   if (s.app == "mandelbulb") {
     auto mb = std::make_shared<apps::MandelbulbParams>();
-    const auto edge =
-        static_cast<std::uint32_t>(s.app_options.number_or("edge", 16));
+    // A block needs at least two points per edge (its spacing divides by
+    // edge - 1).
+    const std::uint32_t edge = app_count(s.app_options, "edge", 16, 2);
     mb->nx = mb->ny = mb->nz = edge;
-    const int per_client =
-        static_cast<int>(s.app_options.number_or("blocks_per_client", 2));
-    mb->total_blocks = static_cast<std::uint32_t>(clients * per_client);
+    const std::uint32_t per_client =
+        app_count(s.app_options, "blocks_per_client", 2, 1);
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(std::max(clients, 0)) * per_client;
+    if (total > std::numeric_limits<std::uint32_t>::max())
+      throw std::invalid_argument(
+          "scenario: clients x blocks_per_client exceeds 2^32 - 1 blocks");
+    mb->total_blocks = static_cast<std::uint32_t>(total);
     return [&sim, mb, per_client](int client, std::uint64_t) {
       std::vector<std::pair<std::uint64_t, vis::DataSet>> blocks;
-      for (int b = 0; b < per_client; ++b) {
-        const auto id = static_cast<std::uint64_t>(client * per_client + b);
+      for (std::uint32_t b = 0; b < per_client; ++b) {
+        const std::uint64_t id =
+            static_cast<std::uint64_t>(client) * per_client + b;
         blocks.emplace_back(id, sim.charge_scoped([&] {
           return vis::DataSet{apps::mandelbulb_block(
               *mb, static_cast<std::uint32_t>(id))};
@@ -181,11 +208,15 @@ int main(int argc, char** argv) {
 
   Scenario scenario = parse_scenario(json::parse(text));
   ColzaPipelineHarness harness(scenario.harness);
-  if (!scenario.trace_path.empty())
-    harness.sim().start_trace(scenario.trace_path);
 
   std::vector<std::unique_ptr<apps::GrayScott3D>> solvers;
-  DataGen gen = make_generator(scenario, harness, solvers);
+  DataGen gen;
+  try {
+    gen = make_generator(scenario, harness, solvers);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   int next_node = 500;
   BeforeIteration before = [&](std::uint64_t iteration) {
@@ -209,10 +240,9 @@ int main(int argc, char** argv) {
                 des::to_millis(t.activate), des::to_millis(t.stage),
                 des::to_millis(t.execute), des::to_millis(t.deactivate));
   }
-  if (!scenario.trace_path.empty()) {
-    harness.sim().stop_trace();
+  if (!scenario.harness.trace_path.empty()) {
     std::printf("\ntrace written to %s (open in chrome://tracing)\n",
-                scenario.trace_path.c_str());
+                scenario.harness.trace_path.c_str());
   }
   return 0;
 }

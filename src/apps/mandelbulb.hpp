@@ -22,7 +22,15 @@ struct MandelbulbParams {
 
 // Generates block `block_id` (of params.total_blocks z-slabs). The point
 // field "iterations" (float) holds the escape iteration count -- the field
-// contoured by the paper's single-isosurface pipeline.
+// contoured by the paper's single-isosurface pipeline. Throws
+// std::invalid_argument for an out-of-range id or an edge below 2 points.
+//
+// Inside a running des::Simulation the blocks are memoized process-wide (a
+// bounded memo, keyed on every params field and the id). A block is
+// computed, and timed, on its first two calls; from the third on, a call
+// returns a copy of the result and reports the faster timing through
+// Simulation::replay_host_ns, so an enclosing charge_scoped charges what the
+// block costs to compute. Outside a simulation every call computes.
 [[nodiscard]] vis::UniformGrid mandelbulb_block(const MandelbulbParams& params,
                                                 std::uint32_t block_id);
 

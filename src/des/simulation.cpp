@@ -121,7 +121,6 @@ Simulation::Simulation(SimConfig config)
       queue_(resolve_queue_impl(config.queue_impl)) {}
 
 Simulation::~Simulation() {
-  stop_trace();
   // Destroy callback state still sitting in the queue, then the freelist.
   queue_.drain([](Event& ev) {
     if (ev.fiber == nullptr && ev.cb != nullptr) {
@@ -165,22 +164,6 @@ void Simulation::push_callback_event(Time t, bool daemon, CallbackNode* n) {
   ev.fiber = nullptr;
   ev.cb = n;
   queue_.push(ev);
-}
-
-void Simulation::start_trace(const std::string& path) {
-  stop_trace();
-  trace_ = std::fopen(path.c_str(), "w");
-  if (trace_ == nullptr)
-    throw std::runtime_error("start_trace: cannot open " + path);
-  std::fputs("[\n", trace_);
-  trace_first_event_ = true;
-}
-
-void Simulation::stop_trace() {
-  if (trace_ == nullptr) return;
-  std::fputs("\n]\n", trace_);
-  std::fclose(trace_);
-  trace_ = nullptr;
 }
 
 Simulation* Simulation::current() noexcept { return g_current_sim; }
@@ -332,16 +315,6 @@ void Simulation::sleep_until(Time t) {
 void Simulation::sleep_for(Duration d) { sleep_until(saturating_after(d)); }
 
 void Simulation::charge(Duration d) {
-  if (trace_ != nullptr && current_ != nullptr && d > 0) {
-    if (!trace_first_event_) std::fputs(",\n", trace_);
-    trace_first_event_ = false;
-    std::fprintf(trace_,
-                 "{\"name\":\"%s [compute]\",\"cat\":\"compute\",\"ph\":\"X\","
-                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%llu,\"tid\":%llu}",
-                 current_->name().c_str(), to_micros(now_), to_micros(d),
-                 static_cast<unsigned long long>(current_->tag()),
-                 static_cast<unsigned long long>(current_->id()));
-  }
   if (charge_listener_ != nullptr && current_ != nullptr && d > 0) {
     charge_listener_(charge_ctx_, *this, current_->name().c_str(),
                      current_->tag(), current_->id(), now_, d);

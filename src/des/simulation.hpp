@@ -13,6 +13,9 @@
 //     virtual time, exactly like sleep; charge_scoped() runs real code,
 //     measures its wall-clock duration, and charges that (scaled), which is
 //     how real filter/render computation lands on the owning rank's clock.
+//     Work that skips a repeated pure kernel reports the host time the
+//     kernel took when it did run (replay_host_ns), and the enclosing
+//     charge_scoped charges it as if measured -- SMPI's SMPI_SAMPLE_* idea.
 //
 // Termination
 //   * Fibers and events are daemon or non-daemon (daemon-ness is inherited
@@ -26,7 +29,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <new>
@@ -146,9 +148,9 @@ class Simulation {
   // (Semantically sleep_for; separate so traces can label compute spans.)
   void charge(Duration d);
 
-  // Run `work` for real, measure it, charge measured * compute_time_scale.
-  // Returns work's result. The measurement is clean because nothing else
-  // runs concurrently on the host thread.
+  // Run `work` for real, measure it, charge (measured + the host ns `work`
+  // replayed) * compute_time_scale. Returns work's result. The measurement is
+  // clean because nothing else runs concurrently on the host thread.
   template <typename F>
   auto charge_scoped(F&& work) {
     if (config_.fixed_scoped_charge > 0) {
@@ -162,16 +164,23 @@ class Simulation {
         return result;
       }
     }
+    const std::uint64_t replayed0 = replayed_ns_;
     const std::uint64_t t0 = wall_ns();
     if constexpr (std::is_void_v<std::invoke_result_t<F>>) {
       work();
-      charge(scaled(wall_ns() - t0));
+      charge(scaled(wall_ns() - t0 + (replayed_ns_ - replayed0)));
     } else {
       auto result = work();
-      charge(scaled(wall_ns() - t0));
+      charge(scaled(wall_ns() - t0 + (replayed_ns_ - replayed0)));
       return result;
     }
   }
+
+  // Reports `ns` of host compute that the caller skipped because it reused
+  // an earlier run's result; the enclosing charge_scoped adds it to the time
+  // it measured (a fixed_scoped_charge ignores it, like the measurement).
+  // Outside any charge_scoped nothing charges it.
+  void replay_host_ns(std::uint64_t ns) noexcept { replayed_ns_ += ns; }
 
   // ---- main loop ---------------------------------------------------------
   // Runs until no non-daemon work remains. Throws DeadlockError if
@@ -191,15 +200,6 @@ class Simulation {
   bool block_current_for(Duration timeout);
 
   // ---- tracing -----------------------------------------------------------
-  // Records every fiber's execution spans (resume -> yield/block/finish, in
-  // VIRTUAL time) into a Chrome trace-event JSON file, loadable in
-  // chrome://tracing / Perfetto. pid = the fiber's tag (simulated process),
-  // tid = fiber id. Call stop_trace() (or destroy the Simulation) to finish
-  // the file.
-  void start_trace(const std::string& path);
-  void stop_trace();
-  [[nodiscard]] bool tracing() const noexcept { return trace_ != nullptr; }
-
   // External charge observer (the obs tracer folds compute spans into its
   // unified trace through this). Called from inside charge() BEFORE the
   // fiber advances, with the charged interval's start and duration; it must
@@ -311,8 +311,7 @@ class Simulation {
   void asan_on_fiber_entry() noexcept;
   friend class Fiber;
 #endif
-  std::FILE* trace_ = nullptr;
-  bool trace_first_event_ = true;
+  std::uint64_t replayed_ns_ = 0;  // running total of replay_host_ns
   ChargeListener charge_listener_ = nullptr;
   void* charge_ctx_ = nullptr;
   std::size_t nondaemon_fibers_ = 0;

@@ -1,11 +1,13 @@
 // Tests for the three evaluation applications: Gray-Scott (conservation,
 // pattern formation, parallel/serial equivalence via halo exchange),
-// Mandelbulb (escape function, block decomposition), and the DWI proxy
-// (growth curve, determinism, mesh validity).
+// Mandelbulb (escape function, block decomposition, degenerate edges, the
+// in-simulation memo), and the DWI proxy (growth curve, determinism, mesh
+// validity).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/dwi_proxy.hpp"
@@ -272,6 +274,25 @@ TEST(GrayScott3D, ParallelMatchesSerialNonPowerOfTwo) {
 
 // ------------------------------------------------------------- Mandelbulb
 
+// Runs `body` on a fiber of a running simulation, where mandelbulb_block
+// serves repeats from its memo.
+template <typename F>
+void in_simulation(F&& body) {
+  des::Simulation sim;
+  sim.spawn("app", [&] { body(); });
+  sim.run();
+}
+
+// Bit for bit: dims, origin, spacing and every point-data array's bytes.
+bool same_grid(const vis::UniformGrid& a, const vis::UniformGrid& b) {
+  return vis::serialize_dataset(vis::DataSet{a}) ==
+         vis::serialize_dataset(vis::DataSet{b});
+}
+
+// In a simulation a block's first two calls compute (and time) it; this
+// call and later ones are served from the memo.
+constexpr int kFirstMemoizedCall = 3;
+
 TEST(Mandelbulb, EscapeBehaviour) {
   // Far outside: escapes immediately (first check sees r2 > 4 after 1 iter).
   EXPECT_LE(mandelbulb_escape(2.5f, 0, 0, 8, 30), 2);
@@ -321,6 +342,116 @@ TEST(Mandelbulb, DeterministicBlocks) {
   auto b = mandelbulb_block(p, 0);
   EXPECT_EQ(a.point_data.find("iterations")->as<float>()[37],
             b.point_data.find("iterations")->as<float>()[37]);
+}
+
+TEST(Mandelbulb, RejectsDegenerateEdges) {
+  // An edge of one point would divide the extent by zero: infinite spacing
+  // and NaN sample coordinates.
+  MandelbulbParams p;
+  p.nx = p.ny = p.nz = 4;
+  p.total_blocks = 2;
+  for (std::uint32_t MandelbulbParams::*edge :
+       {&MandelbulbParams::nx, &MandelbulbParams::ny, &MandelbulbParams::nz}) {
+    for (std::uint32_t bad : {0u, 1u}) {
+      MandelbulbParams q = p;
+      q.*edge = bad;
+      EXPECT_THROW((void)mandelbulb_block(q, 0), std::invalid_argument);
+      in_simulation([&] {
+        EXPECT_THROW((void)mandelbulb_block(q, 0), std::invalid_argument);
+      });
+    }
+  }
+  const MandelbulbParams smallest{.nx = 2, .ny = 2, .nz = 2};
+  EXPECT_NO_THROW((void)mandelbulb_block(smallest, 0));
+}
+
+// Inside a simulation every call, computed or served from the memo, equals
+// the computation outside any simulation, at perfbench elastic-mandelbulb's
+// shape (16^3, 64 blocks) and bench_fig05's (12^3, 64 blocks at its
+// smallest scale).
+TEST(Mandelbulb, MemoizedBlocksMatchComputedOnes) {
+  for (const std::uint32_t edge : {16u, 12u}) {
+    MandelbulbParams p;
+    p.nx = p.ny = p.nz = edge;
+    p.total_blocks = 64;
+    for (const std::uint32_t id : {0u, 21u, 31u, 32u, 63u}) {
+      const vis::UniformGrid want = mandelbulb_block(p, id);
+      in_simulation([&] {
+        for (int call = 1; call <= kFirstMemoizedCall + 1; ++call) {
+          EXPECT_TRUE(same_grid(mandelbulb_block(p, id), want))
+              << edge << "^3 block " << id << ", call " << call;
+        }
+      });
+    }
+  }
+}
+
+// Each params field and the block id is part of the memo key: changing any
+// one of them between calls yields that input's own block, never a memoized
+// block of another input.
+TEST(Mandelbulb, MemoKeyCoversEveryParamAndTheBlockId) {
+  MandelbulbParams base;
+  base.nx = base.ny = base.nz = 8;
+  base.total_blocks = 4;
+  const std::uint32_t base_id = 1;
+  struct Variant {
+    const char* what;
+    MandelbulbParams p;
+    std::uint32_t id;
+  };
+  std::vector<Variant> variants;
+  auto vary = [&](const char* what, auto change) {
+    Variant v{what, base, base_id};
+    change(v);
+    variants.push_back(v);
+  };
+  vary("nx", [](Variant& v) { v.p.nx = 9; });
+  vary("ny", [](Variant& v) { v.p.ny = 9; });
+  vary("nz", [](Variant& v) { v.p.nz = 9; });
+  vary("power", [](Variant& v) { v.p.power = 7.0f; });
+  vary("max_iterations", [](Variant& v) { v.p.max_iterations = 20; });
+  vary("range", [](Variant& v) { v.p.range = 1.1f; });
+  vary("total_blocks", [](Variant& v) { v.p.total_blocks = 5; });
+  vary("block id", [](Variant& v) { v.id = 2; });
+
+  // The references are computed outside any simulation, where every call
+  // computes.
+  const vis::UniformGrid base_grid = mandelbulb_block(base, base_id);
+  std::vector<vis::UniformGrid> wants;
+  for (const Variant& v : variants) {
+    wants.push_back(mandelbulb_block(v.p, v.id));
+    EXPECT_FALSE(same_grid(wants.back(), base_grid)) << v.what;
+  }
+  in_simulation([&] {
+    // Bring the base block to the point where the memo serves it.
+    for (int call = 1; call < kFirstMemoizedCall; ++call)
+      (void)mandelbulb_block(base, base_id);
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      EXPECT_TRUE(same_grid(mandelbulb_block(variants[i].p, variants[i].id),
+                            wants[i]))
+          << variants[i].what;
+    }
+    EXPECT_TRUE(same_grid(mandelbulb_block(base, base_id), base_grid));
+  });
+}
+
+// Callers move blocks into staging, where chaos may corrupt bytes: a hit is
+// the caller's own copy, so changing it cannot reach the next hit.
+TEST(Mandelbulb, ChangingAReturnedBlockLeavesTheMemoIntact) {
+  MandelbulbParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.total_blocks = 4;
+  const vis::UniformGrid want = mandelbulb_block(p, 2);
+  in_simulation([&] {
+    for (int call = 1; call <= kFirstMemoizedCall; ++call) {
+      vis::UniformGrid g = mandelbulb_block(p, 2);
+      for (float& x : g.point_data.find("iterations")->as_mutable<float>())
+        x = -1.0f;
+      g.origin.z += 1.0f;
+      g.dims[0] = 3;
+    }
+    EXPECT_TRUE(same_grid(mandelbulb_block(p, 2), want));
+  });
 }
 
 // --------------------------------------------------------------- DWI proxy

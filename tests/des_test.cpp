@@ -92,6 +92,46 @@ TEST(Simulation, ChargeScopedRunsWorkAndAdvancesClock) {
   EXPECT_GT(result, 0);
 }
 
+// A body that reports replayed host time (a memoized kernel's recorded cost)
+// is charged at least that much under wall-clock charging, and exactly the
+// fixed charge in fixed mode. Replay outside any charge_scoped is charged by
+// nobody, in particular not by the next charge_scoped.
+TEST(Simulation, ChargeScopedAddsReplayedHostTime) {
+  constexpr std::uint64_t kReplay = milliseconds(40);
+  for (const Duration fixed : {Duration{0}, milliseconds(2)}) {
+    Simulation sim(SimConfig{.fixed_scoped_charge = fixed});
+    Duration void_body = 0, value_body = 0, after_stray = 0;
+    int value = 0;
+    sim.spawn("worker", [&] {
+      Time t0 = sim.now();
+      sim.charge_scoped([&] { sim.replay_host_ns(kReplay); });
+      void_body = sim.now() - t0;
+      t0 = sim.now();
+      value = sim.charge_scoped([&] {
+        sim.replay_host_ns(kReplay / 2);
+        sim.replay_host_ns(kReplay / 2);
+        return 7;
+      });
+      value_body = sim.now() - t0;
+      sim.replay_host_ns(seconds(100));
+      t0 = sim.now();
+      sim.charge_scoped([] {});
+      after_stray = sim.now() - t0;
+    });
+    sim.run();
+    EXPECT_EQ(value, 7);
+    if (fixed == 0) {
+      EXPECT_GE(void_body, kReplay);
+      EXPECT_GE(value_body, kReplay);
+      EXPECT_LT(after_stray, seconds(100));
+    } else {
+      EXPECT_EQ(void_body, fixed);
+      EXPECT_EQ(value_body, fixed);
+      EXPECT_EQ(after_stray, fixed);
+    }
+  }
+}
+
 TEST(Simulation, YieldInterleavesFibers) {
   Simulation sim;
   std::string trace;
@@ -246,49 +286,6 @@ TEST(Simulation, ManyFibersDeterministicSchedule) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-
-TEST(Simulation, TraceWritesChromeEvents) {
-  const std::string path = "/tmp/colza_trace_test.json";
-  {
-    Simulation sim;
-    sim.start_trace(path);
-    sim.spawn("worker-a", [&] { sim.charge(milliseconds(3)); },
-              SpawnOptions{.tag = 7});
-    sim.spawn("worker-b", [&] {
-      sim.charge(milliseconds(1));
-      sim.charge(milliseconds(2));
-    });
-    sim.run();
-    sim.stop_trace();
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string all;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) all += buf;
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(all.front(), '[');
-  EXPECT_NE(all.find("worker-a [compute]"), std::string::npos);
-  EXPECT_NE(all.find("worker-b [compute]"), std::string::npos);
-  EXPECT_NE(all.find("\"dur\":3000.000"), std::string::npos);  // 3 ms in us
-  EXPECT_NE(all.find("\"pid\":7"), std::string::npos);          // the tag
-  // Three charge events in total.
-  std::size_t count = 0, pos = 0;
-  while ((pos = all.find("[compute]", pos)) != std::string::npos) {
-    ++count;
-    pos += 1;
-  }
-  EXPECT_EQ(count, 3u);
-}
-
-TEST(Simulation, TraceDisabledByDefault) {
-  Simulation sim;
-  EXPECT_FALSE(sim.tracing());
-  sim.spawn("f", [&] { sim.charge(milliseconds(1)); });
-  sim.run();  // must not crash or write anything
 }
 
 // --------------------------------------------------------------- sync
