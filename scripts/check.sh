@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate (docs/testing.md): the tier-1 suite, the bounded tier-2 smoke
-# subset, the benchmark's smoke suite, and tier-1 again under
-# AddressSanitizer and UndefinedBehaviorSanitizer -- one command, fails fast.
+# subset, the benchmark's smoke suite, tier-1 again under AddressSanitizer
+# and UndefinedBehaviorSanitizer, and the worker-pool tests under
+# ThreadSanitizer -- one command, fails fast.
 #
 #   scripts/check.sh            # full gate
 #   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer builds (quick local loop)
@@ -43,6 +44,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --preset ubsan >/dev/null
   cmake --build --preset ubsan -j "$jobs"
   ctest --preset ubsan-tier1
+  # The host worker pool (des::parallel_pure) under ThreadSanitizer, driven
+  # from inside DES fibers: des_test, catalyst_test, render_test, the Fig 3
+  # hash pin and the bench-smoke runs carry the parallel label.
+  cmake --preset tsan >/dev/null
+  cmake --build --preset tsan -j "$jobs"
+  ctest --preset tsan-parallel
 fi
 
 echo "check.sh: all green"

@@ -30,7 +30,9 @@ struct MandelbulbParams {
 // computed, and timed, on its first two calls; from the third on, a call
 // returns a copy of the result and reports the faster timing through
 // Simulation::replay_host_ns, so an enclosing charge_scoped charges what the
-// block costs to compute. Outside a simulation every call computes.
+// block costs to compute. A simulation with a fixed_scoped_charge uses no
+// timing, so in one a single computed call is enough. Outside a simulation
+// every call computes.
 [[nodiscard]] vis::UniformGrid mandelbulb_block(const MandelbulbParams& params,
                                                 std::uint32_t block_id);
 

@@ -1,8 +1,11 @@
 #include "catalyst/catalyst.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 
+#include "des/parallel.hpp"
 #include "des/simulation.hpp"
 #include "vis/filters.hpp"
 
@@ -21,6 +24,18 @@ auto timed(F&& f) {
   return f();
 }
 
+// A count from an untrusted config, checked before any cast: an integral
+// number in [lo, hi], or std::invalid_argument naming `key`.
+int checked_int(const json::Value& v, const char* key, int lo, int hi) {
+  const double d = v.is_number() ? v.as_number() : std::nan("");
+  if (!(d >= lo && d <= hi && d == std::floor(d)))
+    throw std::invalid_argument(std::string("pipeline config: \"") + key +
+                                "\" must be an integer in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) +
+                                "]");
+  return static_cast<int>(d);
+}
+
 icet::Strategy strategy_from(const std::string& s, icet::Strategy dflt) {
   if (s == "tree") return icet::Strategy::tree;
   if (s == "binary-swap" || s == "bswap") return icet::Strategy::binary_swap;
@@ -34,6 +49,92 @@ render::ColorMapKind colormap_from(const std::string& s,
   if (s == "cool-warm" || s == "coolwarm") return render::ColorMapKind::cool_warm;
   if (s == "grayscale" || s == "gray") return render::ColorMapKind::grayscale;
   return dflt;
+}
+
+// Isosurface and slice modes: contours (or slices) this rank's uniform-grid
+// blocks and rasterizes them into fb, over des::parallel_pure. The grids
+// split into min(width, grids) contiguous ranges: range 0 renders into fb,
+// every other range into its own scratch buffer, and after the join the
+// scratch buffers fold into fb in range order under IceT's closest_depth
+// rule. The image is the serial loop's bit for bit: the z-buffer keeps, per
+// pixel, the first fragment of smallest depth (a strict < test), and an
+// in-order strict-< fold of contiguous ranges picks that same fragment.
+// Contouring one cell layer at a time into a reused mesh emits the same
+// triangles in the same order, and no task ever holds a whole block's mesh.
+// The caller charges all of it in one charge_scoped, the rendering at its
+// serial cost (des/parallel.hpp): the scratch buffers must be gone before
+// the fiber yields on its charge, since held across the yield every
+// suspended server keeps a set (+23% peak RSS on perfbench
+// elastic-mandelbulb).
+void render_surfaces(const PipelineScript& script,
+                     std::span<const vis::DataSet> blocks,
+                     const vis::Aabb& global, const render::Camera& camera,
+                     const render::ColorMap& cmap, render::FrameBuffer& fb,
+                     ExecutionStats& stats) {
+  std::vector<const vis::UniformGrid*> grids;
+  for (const auto& block : blocks) {
+    // Contouring and slicing need uniform grids.
+    if (const auto* g = std::get_if<vis::UniformGrid>(&block))
+      grids.push_back(g);
+  }
+  const std::size_t ranges = std::min(des::parallel_width(), grids.size());
+  std::vector<render::FrameBuffer> scratch;
+  for (std::size_t r = 1; r < ranges; ++r)
+    scratch.emplace_back(fb.width, fb.height);
+  struct Tally {
+    std::size_t cells = 0;
+    std::size_t triangles = 0;
+  };
+  std::vector<Tally> tallies(ranges);
+  const vis::Vec3 clip_origin = script.clip_origin == vis::Vec3{0, 0, 0}
+                                    ? global.center()
+                                    : script.clip_origin;
+  const vis::Vec3 slice_origin = script.slice_origin == vis::Vec3{0, 0, 0}
+                                     ? global.center()
+                                     : script.slice_origin;
+
+  auto render_range = [&](std::size_t r) {
+    render::FrameBuffer& target = r == 0 ? fb : scratch[r - 1];
+    Tally& tally = tallies[r];
+    auto draw = [&](const vis::TriangleMesh& mesh) {
+      tally.triangles += mesh.triangle_count();
+      render::rasterize(target, mesh, camera, cmap);
+    };
+    vis::TriangleMesh layer;
+    for (std::size_t g = grids.size() * r / ranges;
+         g < grids.size() * (r + 1) / ranges; ++g) {
+      const vis::UniformGrid& grid = *grids[g];
+      tally.cells += grid.cell_count();
+      if (script.mode == RenderMode::slice) {
+        draw(vis::slice(grid, script.field, slice_origin,
+                        script.slice_normal));
+        continue;
+      }
+      // At least one call, so a grid without cells still has its field
+      // checked, as isosurface() does.
+      const std::uint32_t layers = std::max<std::uint32_t>(grid.dims[2], 2) - 1;
+      for (float iso : script.iso_values) {
+        for (std::uint32_t k = 0; k < layers; ++k) {
+          layer.clear();
+          vis::isosurface_layers(grid, script.field, iso, script.color_field,
+                                 k, k + 1, layer);
+          if (script.clip) {
+            draw(vis::clip_by_plane(layer, clip_origin, script.clip_normal));
+          } else {
+            draw(layer);
+          }
+        }
+      }
+    }
+  };
+  des::parallel_pure(ranges, render_range);
+
+  for (const render::FrameBuffer& part : scratch)
+    icet::composite_local(fb, part, icet::CompositeOp::closest_depth);
+  for (const Tally& t : tallies) {
+    stats.cells_processed += t.cells;
+    stats.triangles_rendered += t.triangles;
+  }
 }
 
 }  // namespace
@@ -83,16 +184,23 @@ PipelineScript PipelineScript::from_json(const json::Value& cfg) {
                       static_cast<float>(nrm->as_array()[1].as_number()),
                       static_cast<float>(nrm->as_array()[2].as_number())};
   }
-  if (const auto* d = cfg.find("resample_dims"); d != nullptr && d->is_array() &&
-                                                 d->as_array().size() == 3) {
-    for (int i = 0; i < 3; ++i) {
-      s.resample_dims[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(
-          d->as_array()[static_cast<std::size_t>(i)].as_number());
+  if (const auto* d = cfg.find("resample_dims"); d != nullptr) {
+    if (!d->is_array() || d->as_array().size() != 3)
+      throw std::invalid_argument(
+          "pipeline config: \"resample_dims\" must hold 3 integers in [" +
+          std::to_string(kMinResampleDim) + ", " +
+          std::to_string(kMaxResampleDim) + "]");
+    for (std::size_t i = 0; i < 3; ++i) {
+      s.resample_dims[i] = static_cast<std::uint32_t>(
+          checked_int(d->as_array()[i], "resample_dims", kMinResampleDim,
+                      kMaxResampleDim));
     }
   }
   s.opacity_scale = static_cast<float>(cfg.number_or("opacity", s.opacity_scale));
-  s.image_width = static_cast<int>(cfg.number_or("width", s.image_width));
-  s.image_height = static_cast<int>(cfg.number_or("height", s.image_height));
+  if (const auto* w = cfg.find("width"); w != nullptr)
+    s.image_width = checked_int(*w, "width", 1, kMaxImageEdge);
+  if (const auto* h = cfg.find("height"); h != nullptr)
+    s.image_height = checked_int(*h, "height", 1, kMaxImageEdge);
   s.strategy = strategy_from(cfg.string_or("strategy", ""), s.strategy);
   s.colormap = colormap_from(cfg.string_or("colormap", ""), s.colormap);
   s.range_lo = static_cast<float>(cfg.number_or("range_lo", s.range_lo));
@@ -189,40 +297,10 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
                               script.range_hi};
   icet::CompositeOp op = icet::CompositeOp::closest_depth;
 
-  if (script.mode == RenderMode::isosurface) {
+  if (script.mode == RenderMode::isosurface ||
+      script.mode == RenderMode::slice) {
     timed([&] {
-      for (const auto& block : blocks) {
-        const auto* grid = std::get_if<vis::UniformGrid>(&block);
-        if (grid == nullptr) continue;  // isosurface needs uniform grids
-        stats.cells_processed += grid->cell_count();
-        for (float iso : script.iso_values) {
-          vis::TriangleMesh mesh =
-              vis::isosurface(*grid, script.field, iso, script.color_field);
-          if (script.clip) {
-            const vis::Vec3 origin =
-                script.clip_origin == vis::Vec3{0, 0, 0} ? global.center()
-                                                         : script.clip_origin;
-            mesh = vis::clip_by_plane(mesh, origin, script.clip_normal);
-          }
-          stats.triangles_rendered += mesh.triangle_count();
-          render::rasterize(fb, mesh, camera, cmap);
-        }
-      }
-    });
-  } else if (script.mode == RenderMode::slice) {
-    timed([&] {
-      const vis::Vec3 origin = script.slice_origin == vis::Vec3{0, 0, 0}
-                                   ? global.center()
-                                   : script.slice_origin;
-      for (const auto& block : blocks) {
-        const auto* grid = std::get_if<vis::UniformGrid>(&block);
-        if (grid == nullptr) continue;
-        stats.cells_processed += grid->cell_count();
-        vis::TriangleMesh mesh =
-            vis::slice(*grid, script.field, origin, script.slice_normal);
-        stats.triangles_rendered += mesh.triangle_count();
-        render::rasterize(fb, mesh, camera, cmap);
-      }
+      render_surfaces(script, blocks, global, camera, cmap, fb, stats);
     });
   } else {
     op = icet::CompositeOp::over;

@@ -24,6 +24,11 @@
 
 namespace colza::catalyst {
 
+// Bounds on the sizes a pipeline config may ask for (from_json).
+inline constexpr int kMaxImageEdge = 4096;
+inline constexpr int kMinResampleDim = 2;
+inline constexpr int kMaxResampleDim = 512;
+
 enum class RenderMode : std::uint8_t {
   isosurface,  // contour -> (clip) -> rasterize -> depth compositing
   volume,      // (merge+resample) -> raycast -> over compositing
@@ -64,7 +69,11 @@ struct PipelineScript {
   std::string save_path;
 
   // Parses the admin interface's JSON configuration string; unknown keys are
-  // ignored, missing keys keep defaults.
+  // ignored, missing keys keep defaults. The config arrives over the wire,
+  // so sizes are checked before use: "width" and "height" must be integers
+  // in [1, kMaxImageEdge] and each "resample_dims" entry an integer in
+  // [kMinResampleDim, kMaxResampleDim]; otherwise std::invalid_argument
+  // names the key.
   static PipelineScript from_json(const json::Value& cfg);
 
   // Presets matching the paper's three applications (S III-A).

@@ -1,6 +1,7 @@
 #include "colza/backend.hpp"
 
 #include <map>
+#include <stdexcept>
 
 namespace colza {
 
@@ -43,7 +44,11 @@ Expected<std::unique_ptr<Backend>> BackendRegistry::create(
   if (it == registry().end())
     return Status::NotFound("no pipeline type '" + type +
                             "' in the registry");
-  return it->second(std::move(ctx));
+  try {
+    return it->second(std::move(ctx));
+  } catch (const std::invalid_argument& e) {
+    return Status::InvalidArgument(e.what());
+  }
 }
 
 std::vector<std::string> BackendRegistry::types() {

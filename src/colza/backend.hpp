@@ -128,6 +128,8 @@ class Backend {
   std::shared_ptr<mona::Communicator> comm_;
 };
 
+// A factory rejects a bad config by throwing std::invalid_argument, which
+// create() returns as InvalidArgument.
 using BackendFactory =
     std::function<std::unique_ptr<Backend>(Backend::Context)>;
 

@@ -26,7 +26,8 @@ namespace {
 // the entry trampoline (which takes no usable 64-bit argument portably).
 // The DES is single-OS-thread, so a file-local "starting fiber" slot works.
 Fiber* g_starting_fiber = nullptr;
-Simulation* g_current_sim = nullptr;
+// Per OS thread: a parallel_pure helper (des/parallel.hpp) sees no simulation.
+thread_local Simulation* g_current_sim = nullptr;
 }  // namespace
 
 #if COLZA_FAST_CONTEXT

@@ -16,6 +16,9 @@
 //     Work that skips a repeated pure kernel reports the host time the
 //     kernel took when it did run (replay_host_ns), and the enclosing
 //     charge_scoped charges it as if measured -- SMPI's SMPI_SAMPLE_* idea.
+//     A pure kernel fanned out over host cores (des/parallel.hpp) reports
+//     the host time its tasks overlapped the same way, so it is charged its
+//     serial cost.
 //
 // Termination
 //   * Fibers and events are daemon or non-daemon (daemon-ness is inherited
@@ -190,7 +193,8 @@ class Simulation {
   // Processes all events with time <= horizon, then sets now = horizon.
   void run_until(Time horizon);
 
-  // The simulation running the currently-executing fiber, or nullptr.
+  // The simulation running the currently-executing fiber, or nullptr. Per OS
+  // thread: null on a parallel_pure helper.
   static Simulation* current() noexcept;
 
   // ---- primitives for des/sync.hpp (and other blocking abstractions) ----

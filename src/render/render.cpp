@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/hash.hpp"
+#include "des/parallel.hpp"
 
 namespace colza::render {
 
@@ -44,7 +45,9 @@ constexpr std::array<Vec3, 8> kViridis{{{0.267f, 0.005f, 0.329f},
 Vec3 ColorMap::map(float v) const {
   const float range = hi - lo;
   float t = range != 0 ? (v - lo) / range : 0.5f;
-  t = std::clamp(t, 0.0f, 1.0f);
+  // A NaN scalar (a NaN sample's) maps like the low end: viridis indexes its
+  // table with t.
+  t = std::isnan(t) ? 0.0f : std::clamp(t, 0.0f, 1.0f);
   switch (kind) {
     case ColorMapKind::grayscale: return {t, t, t};
     case ColorMapKind::cool_warm: {
@@ -98,7 +101,7 @@ void FrameBuffer::write_ppm(const std::string& path, Vec3 background) const {
         const float v = rgba[p + static_cast<std::size_t>(c)] +
                         (1.0f - a) * (&background.x)[c];
         row[static_cast<std::size_t>(x) * 3 + static_cast<std::size_t>(c)] =
-            static_cast<unsigned char>(std::clamp(v, 0.0f, 1.0f) * 255.0f);
+            channel_byte(v);
       }
     }
     std::fwrite(row.data(), 1, row.size(), f);
@@ -113,10 +116,7 @@ std::uint64_t FrameBuffer::content_hash() const {
   // same quantization, so a frame that round-trips the delivery codec hashes
   // identically here and there.
   std::uint64_t h = common::kFnvImageBasis;
-  for (float v : rgba) {
-    h = common::fnv1a_byte(
-        h, static_cast<std::uint8_t>(std::clamp(v, 0.0f, 1.0f) * 255.0f));
-  }
+  for (float v : rgba) h = common::fnv1a_byte(h, channel_byte(v));
   return h;
 }
 
@@ -174,7 +174,8 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     v.inv_w = 1.0f / zc;
     v.normal = idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1};
     v.scalar = idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f;
-    v.ok = true;
+    // A NaN sample contours to NaN points; nothing may cast them to int.
+    v.ok = std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
     return v;
   };
 
@@ -189,14 +190,19 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     if (std::abs(area) < 1e-9f) continue;
     const float inv_area = 1.0f / area;
 
-    const int xmin = std::max(0, static_cast<int>(
-                                     std::floor(std::min({v0.x, v1.x, v2.x}))));
-    const int xmax = std::min(fb.width - 1,
-                              static_cast<int>(std::ceil(std::max({v0.x, v1.x, v2.x}))));
-    const int ymin = std::max(0, static_cast<int>(
-                                     std::floor(std::min({v0.y, v1.y, v2.y}))));
-    const int ymax = std::min(fb.height - 1,
-                              static_cast<int>(std::ceil(std::max({v0.y, v1.y, v2.y}))));
+    // The bounding box is clamped to the screen in float: a vertex far off
+    // screen lies beyond int's range.
+    const float fxmin = std::max(0.0f, std::floor(std::min({v0.x, v1.x, v2.x})));
+    const float fxmax = std::min(static_cast<float>(fb.width - 1),
+                                 std::ceil(std::max({v0.x, v1.x, v2.x})));
+    const float fymin = std::max(0.0f, std::floor(std::min({v0.y, v1.y, v2.y})));
+    const float fymax = std::min(static_cast<float>(fb.height - 1),
+                                 std::ceil(std::max({v0.y, v1.y, v2.y})));
+    if (fxmin > fxmax || fymin > fymax) continue;
+    const int xmin = static_cast<int>(fxmin);
+    const int xmax = static_cast<int>(fxmax);
+    const int ymin = static_cast<int>(fymin);
+    const int ymax = static_cast<int>(fymax);
 
     for (int y = ymin; y <= ymax; ++y) {
       for (int x = xmin; x <= xmax; ++x) {
@@ -269,7 +275,10 @@ void raycast(FrameBuffer& fb, const vis::UniformGrid& grid,
     return c0 * (1 - tz) + c1 * tz;
   };
 
-  for (int y = 0; y < fb.height; ++y) {
+  // Each pixel depends on the grid and the camera alone, so rows render in
+  // parallel into disjoint parts of fb.
+  des::parallel_pure(static_cast<std::size_t>(fb.height), [&](std::size_t row) {
+    const int y = static_cast<int>(row);
     for (int x = 0; x < fb.width; ++x) {
       const float px = (2.0f * (static_cast<float>(x) + 0.5f) /
                             static_cast<float>(fb.width) -
@@ -335,7 +344,7 @@ void raycast(FrameBuffer& fb, const vis::UniformGrid& grid,
           (ht - cam.near_plane) / (cam.far_plane - cam.near_plane), 0.0f,
           1.0f);
     }
-  }
+  });
 }
 
 }  // namespace colza::render

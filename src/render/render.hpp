@@ -9,6 +9,7 @@
 //     for the Deep Water Impact volume-rendering pipeline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,6 +47,14 @@ struct TransferFunction {
   float opacity_scale = 0.05f;  // opacity per sample at full scalar
 };
 
+// A color channel as images are hashed, written and delivered: [0, 1]
+// scaled to a byte, clamped. NaN, which a NaN sample's shading yields,
+// becomes 0 instead of reaching an undefined float-to-int conversion.
+[[nodiscard]] inline std::uint8_t channel_byte(float v) noexcept {
+  return static_cast<std::uint8_t>((v > 0.0f ? std::min(v, 1.0f) : 0.0f) *
+                                   255.0f);
+}
+
 // One pixel: premultiplied RGBA color + depth in [0,1] (1 = background).
 struct FrameBuffer {
   int width = 0;
@@ -74,7 +83,9 @@ struct FrameBuffer {
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& camera, const ColorMap& cmap);
 
-// Volume-renders point field `field` of `grid` into `fb`.
+// Volume-renders point field `field` of `grid` into `fb`. Rows render over
+// des::parallel_pure; every pixel depends on the grid and camera alone, so
+// the image is the same for any pool width.
 void raycast(FrameBuffer& fb, const vis::UniformGrid& grid,
              const std::string& field, const Camera& camera,
              const TransferFunction& tf);

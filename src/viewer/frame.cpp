@@ -45,10 +45,8 @@ FrameImage FrameImage::from(const render::FrameBuffer& fb) {
   img.width = static_cast<std::uint32_t>(fb.width);
   img.height = static_cast<std::uint32_t>(fb.height);
   img.rgba.resize(fb.rgba.size());
-  for (std::size_t i = 0; i < fb.rgba.size(); ++i) {
-    img.rgba[i] = static_cast<std::uint8_t>(
-        std::clamp(fb.rgba[i], 0.0f, 1.0f) * 255.0f);
-  }
+  for (std::size_t i = 0; i < fb.rgba.size(); ++i)
+    img.rgba[i] = render::channel_byte(fb.rgba[i]);
   return img;
 }
 

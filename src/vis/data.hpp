@@ -264,6 +264,13 @@ struct TriangleMesh {
   [[nodiscard]] std::size_t triangle_count() const noexcept {
     return triangles.size() / 3;
   }
+  // Empties the mesh and keeps its capacity for the next fill.
+  void clear() noexcept {
+    points.clear();
+    normals.clear();
+    scalars.clear();
+    triangles.clear();
+  }
   [[nodiscard]] Aabb bounds() const noexcept {
     Aabb b;
     for (const Vec3& p : points) b.extend(p);

@@ -129,6 +129,15 @@ void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
 
 TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
                         float isovalue, const std::string& color_field) {
+  TriangleMesh out;
+  isosurface_layers(grid, field, isovalue, color_field, 0, grid.dims[2], out);
+  return out;
+}
+
+void isosurface_layers(const UniformGrid& grid, const std::string& field,
+                       float isovalue, const std::string& color_field,
+                       std::uint32_t k_begin, std::uint32_t k_end,
+                       TriangleMesh& out) {
   const DataArray* arr = grid.point_data.find(field);
   if (arr == nullptr)
     throw std::runtime_error("isosurface: no point field '" + field + "'");
@@ -141,8 +150,8 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
   if (color_arr != nullptr) colors = color_arr->as<float>();
 
   const auto [nx, ny, nz] = grid.dims;
-  TriangleMesh out;
-  if (nx < 2 || ny < 2 || nz < 2) return out;
+  if (nx < 2 || ny < 2 || nz < 2) return;
+  k_end = std::min(k_end, nz - 1);
 
   // Gradient of the field at a grid point, by central differences (one-sided
   // at the boundary), in world units.
@@ -173,7 +182,7 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
   };
 
   std::array<Corner, 8> corners;
-  for (std::uint32_t k = 0; k + 1 < nz; ++k) {
+  for (std::uint32_t k = k_begin; k < k_end; ++k) {
     for (std::uint32_t j = 0; j + 1 < ny; ++j) {
       for (std::uint32_t i = 0; i + 1 < nx; ++i) {
         // Quick reject: all corner values on one side of the isovalue.
@@ -211,7 +220,6 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
       }
     }
   }
-  return out;
 }
 
 TriangleMesh slice(const UniformGrid& grid, const std::string& field,

@@ -3,7 +3,8 @@
 //   * isosurface(): iso-contour of a scalar field on a uniform grid, via
 //     marching tetrahedra (each hexahedral cell is split into 6 tetrahedra
 //     around its main diagonal). Produces a triangle soup with gradient
-//     normals and an interpolated color scalar.
+//     normals and an interpolated color scalar; isosurface_layers() contours
+//     a range of cell layers into a caller-owned mesh.
 //   * clip_by_plane(): keeps the half-space dot(p - origin, normal) <= 0,
 //     re-triangulating intersected triangles (the paper's Gray-Scott
 //     pipeline combines isosurfaces with clipping, Fig 3a).
@@ -24,6 +25,16 @@ namespace colza::vis {
 [[nodiscard]] TriangleMesh isosurface(const UniformGrid& grid,
                                       const std::string& field, float isovalue,
                                       const std::string& color_field = "");
+
+// isosurface() restricted to the cell layers k in [k_begin, k_end) (a cell
+// layer spans point planes k and k + 1; k_end is clamped to the layer
+// count), appended to `out`. Contouring layer by layer in increasing k emits
+// exactly isosurface()'s triangles in its order, while holding only one
+// layer's mesh at a time.
+void isosurface_layers(const UniformGrid& grid, const std::string& field,
+                       float isovalue, const std::string& color_field,
+                       std::uint32_t k_begin, std::uint32_t k_end,
+                       TriangleMesh& out);
 
 [[nodiscard]] TriangleMesh clip_by_plane(const TriangleMesh& mesh, Vec3 origin,
                                          Vec3 normal);

@@ -5,6 +5,7 @@
 // validity).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -452,6 +453,46 @@ TEST(Mandelbulb, ChangingAReturnedBlockLeavesTheMemoIntact) {
     }
     EXPECT_TRUE(same_grid(mandelbulb_block(p, 2), want));
   });
+}
+
+// Host ns of one mandelbulb_block call.
+std::uint64_t call_ns(const MandelbulbParams& p, std::uint32_t id) {
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)mandelbulb_block(p, id);
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+// A fixed charge discards every timing, so there one computed call completes
+// a memo entry and the next call is served from it. A later wall-clock
+// simulation still computes, and times, the entry's second run before
+// serving it. A hit copies the field, where computing runs the escape loop
+// at every point: hundreds of times slower at this size, so a factor of four
+// tells the two apart on any host.
+TEST(Mandelbulb, FixedChargeCompletesAnEntryInOneRun) {
+  MandelbulbParams p;
+  p.nx = p.ny = p.nz = 28;  // a memo key no other test uses
+  p.total_blocks = 2;
+  std::uint64_t computed = 0, fixed_repeat = 0, wall_first = 0,
+                wall_repeat = 0;
+  {
+    des::Simulation sim(
+        des::SimConfig{.fixed_scoped_charge = des::milliseconds(2)});
+    sim.spawn("app", [&] {
+      computed = call_ns(p, 1);
+      fixed_repeat = call_ns(p, 1);
+    });
+    sim.run();
+  }
+  in_simulation([&] {
+    wall_first = call_ns(p, 1);
+    wall_repeat = call_ns(p, 1);
+  });
+  EXPECT_LT(fixed_repeat, computed / 4) << "fixed charge: second call hits";
+  EXPECT_GT(wall_first, computed / 4) << "wall clock: second run is timed";
+  EXPECT_LT(wall_repeat, computed / 4) << "wall clock: third call hits";
 }
 
 // --------------------------------------------------------------- DWI proxy

@@ -262,6 +262,13 @@ TEST(Colza, AdminCreateListDestroy) {
     EXPECT_EQ(
         admin.create_pipeline(s, "p3", "recording", "{bad json").code(),
         StatusCode::invalid_argument);
+    // A catalyst config asking for an unusable image is refused at create
+    // time, naming the key, instead of failing every execute.
+    const Status zero_width =
+        admin.create_pipeline(s, "p3", "catalyst", R"({"width":0})");
+    EXPECT_EQ(zero_width.code(), StatusCode::invalid_argument);
+    EXPECT_NE(zero_width.message().find("width"), std::string::npos)
+        << zero_width.message();
     auto names = admin.list_pipelines(s);
     ASSERT_TRUE(names.has_value());
     EXPECT_EQ(*names, (std::vector<std::string>{"p1", "p2"}));

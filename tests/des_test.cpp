@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <ctime>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "des/event_queue.hpp"
+#include "des/parallel.hpp"
 #include "des/simulation.hpp"
 #include "des/sync.hpp"
 #include "des/time.hpp"
@@ -762,6 +769,124 @@ TEST(Simulation, ScheduleAfterOverflowingDurationClamps) {
       },
       "overflows virtual time");
 #endif
+}
+
+// ------------------------------------------------------------ parallel_pure
+
+TEST(Parallel, RunsEveryIndexExactlyOnce) {
+  const std::size_t w = parallel_width();
+  ASSERT_GE(w, 1u);
+  ASSERT_LE(w, 8u);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, w - 1, w, 10 * w}) {
+    std::vector<std::atomic<int>> runs(n);
+    parallel_pure(n, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "n " << n << ", index " << i;
+  }
+}
+
+// A serial loop stops at its first throw; parallel_pure rethrows that same
+// exception, and only once no task is still running.
+TEST(Parallel, RethrowsTheLowestIndexAfterEveryTaskStopped) {
+  const std::size_t n = 4 * parallel_width() + 3;
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  struct Running {
+    std::atomic<int>& running;
+    std::atomic<int>& finished;
+    ~Running() {
+      --running;
+      ++finished;
+    }
+  };
+  try {
+    parallel_pure(n, [&](std::size_t i) {
+      ++running;
+      const Running guard{running, finished};
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (i % 3 == 2) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "2");
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_GE(finished.load(), 3);
+  }
+}
+
+TEST(Parallel, NestedCallRunsInline) {
+  const std::size_t n = 2 * parallel_width();
+  std::atomic<int> inner_runs{0};
+  std::atomic<int> off_thread{0};
+  parallel_pure(n, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_pure(4, [&](std::size_t) {
+      ++inner_runs;
+      if (std::this_thread::get_id() != outer) ++off_thread;
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), static_cast<int>(4 * n));
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(Parallel, HelpersSeeNoSimulation) {
+  Simulation sim;
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, Simulation*>> seen;
+  std::thread::id caller;
+  sim.spawn("f", [&] {
+    caller = std::this_thread::get_id();
+    parallel_pure(8 * parallel_width(), [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.emplace_back(std::this_thread::get_id(), Simulation::current());
+    });
+  });
+  sim.run();
+  ASSERT_EQ(seen.size(), 8 * parallel_width());
+  for (const auto& [thread, current] : seen) {
+    if (thread != caller) {
+      EXPECT_EQ(current, nullptr);
+    }
+  }
+}
+
+// CPU time of the calling thread.
+Duration thread_cpu() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<Duration>(ts.tv_sec) * 1000000000ULL +
+         static_cast<Duration>(ts.tv_nsec);
+}
+
+// Under wall-clock charging a region costs its tasks' summed host time, as
+// if they had run one after another; a fixed charge stays exactly that.
+TEST(Parallel, RegionChargesItsSerialHostTime) {
+  for (const Duration fixed : {Duration{0}, milliseconds(1)}) {
+    Simulation sim(SimConfig{.fixed_scoped_charge = fixed});
+    Duration charged = 0;
+    sim.spawn("f", [&] {
+      const Time t0 = sim.now();
+      sim.charge_scoped([&] {
+        parallel_pure(4, [&](std::size_t) {
+          // 2 ms of CPU each, whichever threads run them.
+          const Duration start = thread_cpu();
+          while (thread_cpu() - start < milliseconds(2)) {
+          }
+        });
+      });
+      charged = sim.now() - t0;
+    });
+    sim.run();
+    if (fixed == 0) {
+      EXPECT_GE(charged, 4 * milliseconds(2));
+    } else {
+      EXPECT_EQ(charged, fixed);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "render/render.hpp"
@@ -140,6 +141,36 @@ TEST(Rasterize, BehindCameraCulled) {
   EXPECT_EQ(active_pixels(fb), 0);
 }
 
+// A staged block with a NaN sample contours to NaN points, and a hostile
+// mesh can put a vertex beyond int's range on screen: such triangles are
+// skipped or clipped in float, never cast to int (UBSan's
+// float-cast-overflow check covers this), and the rest of the mesh renders
+// as if they were absent.
+TEST(Rasterize, NonFiniteVerticesAreSkipped) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  vis::TriangleMesh good;
+  good.points = {{-1, -1, 0}, {1, -1, 0}, {0, 1, 0}};
+  good.triangles = {0, 1, 2};
+  vis::TriangleMesh mixed = good;
+  mixed.points.insert(mixed.points.end(),
+                      {{nan, 0, 0}, {1, 0, 0}, {0, 1, 0},        // NaN
+                       {-1, 0, 0}, {1, inf, 0}, {0, 1, 0},       // +inf
+                       {1e12f, 1e12f, 0}, {2e12f, 1e12f, 0},     // far off
+                       {1e12f, 2e12f, 0}});                      // screen
+  for (std::uint32_t i = 3; i < 12; ++i) mixed.triangles.push_back(i);
+  Camera cam;
+  cam.eye = {0, 0, 4};
+  cam.target = {0, 0, 0};
+  const ColorMap cm{ColorMapKind::grayscale, 0, 1};
+  FrameBuffer want(32, 32), got(32, 32);
+  rasterize(want, good, cam, cm);
+  rasterize(got, mixed, cam, cm);
+  EXPECT_GT(active_pixels(want), 0);
+  EXPECT_EQ(got.rgba, want.rgba);
+  EXPECT_EQ(got.depth, want.depth);
+}
+
 TEST(Rasterize, IsosurfaceSphereLooksRound) {
   vis::UniformGrid g = sphere_grid(17, {8, 8, 8});
   vis::TriangleMesh m = vis::isosurface(g, "dist", 5.0f);
@@ -205,6 +236,19 @@ TEST(FrameBuffer, PpmRoundTripOnDisk) {
   EXPECT_EQ(std::string(magic), "P6");
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+// A NaN sample's neighbours shade with a NaN normal: such a channel
+// quantizes to 0, with no float-to-int conversion of NaN.
+TEST(FrameBuffer, NanChannelsQuantizeToZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(channel_byte(nan), 0);
+  EXPECT_EQ(channel_byte(-1.0f), 0);
+  EXPECT_EQ(channel_byte(0.5f), 127);
+  EXPECT_EQ(channel_byte(7.0f), 255);
+  FrameBuffer with_nan(2, 2), zero(2, 2);
+  with_nan.rgba[1] = nan;
+  EXPECT_EQ(with_nan.content_hash(), zero.content_hash());
 }
 
 TEST(FrameBuffer, ContentHashDetectsChanges) {
