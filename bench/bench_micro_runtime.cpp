@@ -206,6 +206,11 @@ BENCHMARK(BM_MonaMessageFlood)->Arg(64)->Arg(65536);
 // so one run stays in the seconds range while the simulated-process count --
 // and with it the pending-event population and fiber table -- grows by two
 // to three orders of magnitude.
+//
+// The scenario's event count is a pure function of the code, so the 8-proc
+// count is pinned: any drift means the virtual timeline of the MoNA demux
+// loop, the event queue or the sync primitives changed, and the report
+// exits 1 (ctest bench_micro_runtime.events runs it in tier 1).
 
 struct RuntimeReport {
   double wall_seconds = 0;
@@ -235,6 +240,8 @@ ScenarioScale scale_for(int procs) {
   // virtual timeline.
   return ScenarioScale{procs, 50, 4, 2, 96 * 1024};
 }
+
+constexpr std::uint64_t kPinnedEvents8 = 110740;
 
 RuntimeReport run_runtime_scenario(const ScenarioScale& sc) {
   const int kProcs = sc.procs;
@@ -352,6 +359,12 @@ int run_runtime_report(const std::string& path, int procs, int repeats) {
       "%.2f MB/s delivered, %.0f msgs/s -> %s\n",
       sc.procs, best.wall_seconds, best.events_per_sec,
       best.bytes_per_sec / 1e6, best.messages_per_sec, path.c_str());
+  if (sc.procs == 8 && best.events != kPinnedEvents8) {
+    std::fprintf(stderr, "runtime report: %llu events, pinned %llu\n",
+                 static_cast<unsigned long long>(best.events),
+                 static_cast<unsigned long long>(kPinnedEvents8));
+    return 1;
+  }
   return 0;
 }
 
@@ -363,8 +376,7 @@ int run_runtime_report(const std::string& path, int procs, int repeats) {
 // bursts), then keeps occupancy at ~10^6 by rescheduling on every fire until
 // a fixed event budget is consumed. This is the pending-population regime
 // where a binary heap pays ~20-level sift chains per operation and the
-// ladder queue's O(1) bucket append shows up directly in wall time. The
-// COLZA_DES_QUEUE env var selects the implementation under test.
+// ladder queue's O(1) bucket append shows up directly in wall time.
 
 struct QueueReport {
   double wall_seconds = 0;
@@ -373,7 +385,6 @@ struct QueueReport {
   std::uint64_t peak_depth = 0;
   std::uint64_t rung_spawns = 0;
   std::uint64_t top_transfers = 0;
-  const char* impl = "";
 };
 
 des::Duration skewed_delta(Rng& rng) {
@@ -414,7 +425,6 @@ QueueReport run_queue_scenario() {
   rep.peak_depth = q.stats().peak_depth;
   rep.rung_spawns = q.stats().rung_spawns;
   rep.top_transfers = q.stats().top_transfers;
-  rep.impl = q.impl_name();
   return rep;
 }
 
@@ -432,7 +442,6 @@ int run_queue_report(const std::string& path) {
   std::fprintf(f,
                "{\n"
                "  \"scenario\": \"high-occupancy queue stress\",\n"
-               "  \"queue_impl\": \"%s\",\n"
                "  \"pending_events\": 1048576,\n"
                "  \"wall_seconds\": %.6f,\n"
                "  \"events\": %llu,\n"
@@ -441,7 +450,7 @@ int run_queue_report(const std::string& path) {
                "  \"rung_spawns\": %llu,\n"
                "  \"top_transfers\": %llu\n"
                "}\n",
-               best.impl, best.wall_seconds,
+               best.wall_seconds,
                static_cast<unsigned long long>(best.events),
                best.events_per_sec,
                static_cast<unsigned long long>(best.peak_depth),
@@ -449,9 +458,9 @@ int run_queue_report(const std::string& path) {
                static_cast<unsigned long long>(best.top_transfers));
   std::fclose(f);
   std::printf(
-      "queue report (%s): %.3fs wall, %.0f events/s, peak depth %llu, "
+      "queue report: %.3fs wall, %.0f events/s, peak depth %llu, "
       "%llu rung spawns, %llu top transfers -> %s\n",
-      best.impl, best.wall_seconds, best.events_per_sec,
+      best.wall_seconds, best.events_per_sec,
       static_cast<unsigned long long>(best.peak_depth),
       static_cast<unsigned long long>(best.rung_spawns),
       static_cast<unsigned long long>(best.top_transfers), path.c_str());

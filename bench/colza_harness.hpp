@@ -19,7 +19,6 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/server.hpp"
-#include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
@@ -254,8 +253,8 @@ class ColzaPipelineHarness {
     return results;
   }
 
-  // Samples the DES-runtime counters (event queue, slab arenas, batched
-  // delivery) into gauges so each per-iteration snapshot carries them.
+  // Samples the DES event-queue counters into gauges so each per-iteration
+  // snapshot carries them.
   void record_runtime_gauges() {
     auto& reg = obs::MetricsRegistry::global();
     const auto& q = sim_.event_queue();
@@ -266,21 +265,6 @@ class ColzaPipelineHarness {
         .set(static_cast<double>(q.stats().rung_spawns));
     reg.gauge("runtime.queue.top_transfers")
         .set(static_cast<double>(q.stats().top_transfers));
-    const auto& arenas = common::Arena::totals();
-    reg.gauge("runtime.arena.bytes_in_use")
-        .set(static_cast<double>(arenas.bytes_in_use));
-    reg.gauge("runtime.arena.high_water")
-        .set(static_cast<double>(arenas.high_water));
-    reg.gauge("runtime.arena.slab_bytes")
-        .set(static_cast<double>(arenas.slab_bytes));
-    reg.gauge("runtime.arena.resets").set(static_cast<double>(arenas.resets));
-    const auto& del = net::DeliveryStats::global();
-    reg.gauge("runtime.delivery.batches")
-        .set(static_cast<double>(del.batches));
-    reg.gauge("runtime.delivery.messages")
-        .set(static_cast<double>(del.messages));
-    reg.gauge("runtime.delivery.max_batch")
-        .set(static_cast<double>(del.max_batch));
   }
 
   // Writes the trace / metrics files configured in HarnessConfig. Called

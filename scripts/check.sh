@@ -32,13 +32,6 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # lifetime bugs the sanitizer exists to catch (viewer_test itself is
   # tier1 and already ran above).
   ctest --preset asan-tier2-smoke -R ViewerFanOut
-  # Cross-check the runtime fallback paths under the sanitizer: heap event
-  # queue and scalar kernels must pass the same tier-1 suite (the default
-  # run above already covers ladder + SIMD; perf_invariance_test pins that
-  # both sides produce identical timelines, and the common_test CRC32C cases
-  # pin the scalar checksum against the same vectors the SSE4.2 path passed
-  # in the default run -- so a hardware/scalar divergence fails the gate).
-  COLZA_DES_QUEUE=heap COLZA_SIMD=off ctest --preset asan-tier1
   # Tier-1 once more under UBSan, which aborts on its first report: wire
   # decoders and size checks are where overflow and null-pointer UB hide.
   cmake --preset ubsan >/dev/null

@@ -11,8 +11,8 @@
 // EXACT scalar operation tree per lane -- additions in the same left-to-
 // right order, multiplications un-fused (target("avx2") does not enable FMA,
 // so the compiler cannot contract them). A result differing in even one ulp
-// from the scalar path is a bug; perf_invariance_test pins this by diffing
-// render hashes with COLZA_SIMD=off.
+// from the scalar path is a bug; apps_test runs both kernels on the same
+// rows, every tail length included, and compares their outputs bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -50,7 +50,7 @@ Status CatalystBackend::activate(std::uint64_t iteration) {
   if (auto it = staged_.find(iteration); it != staged_.end()) {
     staged_.erase(it);
   }
-  staged_.try_emplace(iteration, arena_);
+  staged_.try_emplace(iteration);
   return Status::Ok();
 }
 
@@ -69,7 +69,7 @@ Status CatalystBackend::stage(StagedBlock block) {
   stored.checksum = block.checksum;
   stored.sender = block.sender;
   stored.copyset = std::move(block.copyset);
-  slot.blocks.insert_or_assign(key, std::move(stored));  // idempotent restage
+  slot.insert_or_assign(key, std::move(stored));  // idempotent restage
   return Status::Ok();
 }
 
@@ -100,8 +100,8 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
   // aborts before any collective work starts, so no peer is left waiting in
   // a half-entered reduction and nothing corrupt is ever rendered.
   std::vector<vis::DataSet> parsed;
-  parsed.reserve(it->second.blocks.size());
-  for (auto& [key, stored] : it->second.blocks) {
+  parsed.reserve(it->second.size());
+  for (auto& [key, stored] : it->second) {
     try {
       auto parse_one = [&]() -> vis::DataSet {
         if (common::crc32c(stored.data) != stored.checksum) {
@@ -141,9 +141,6 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
 
 Status CatalystBackend::deactivate(std::uint64_t iteration) {
   staged_.erase(iteration);  // staged data can now be cleaned up (S II-B)
-  // Iteration boundary: with no activation alive the arena holds no live
-  // index nodes, so rewind it and let the next activation reuse the slabs.
-  if (staged_.empty()) arena_.reset();
   return Status::Ok();
 }
 
@@ -152,8 +149,8 @@ CatalystBackend::StoredBlock* CatalystBackend::find_stored(
     const std::string& field) {
   auto it = staged_.find(iteration);
   if (it == staged_.end()) return nullptr;
-  auto b = it->second.blocks.find(std::make_pair(block_id, field));
-  return b == it->second.blocks.end() ? nullptr : &b->second;
+  auto b = it->second.find(std::make_pair(block_id, field));
+  return b == it->second.end() ? nullptr : &b->second;
 }
 
 std::vector<Backend::BlockInfo> CatalystBackend::integrity_scan(
@@ -161,8 +158,8 @@ std::vector<Backend::BlockInfo> CatalystBackend::integrity_scan(
   std::vector<BlockInfo> out;
   auto it = staged_.find(iteration);
   if (it == staged_.end()) return out;
-  out.reserve(it->second.blocks.size());
-  for (const auto& [key, stored] : it->second.blocks) {
+  out.reserve(it->second.size());
+  for (const auto& [key, stored] : it->second) {
     BlockInfo info;
     info.block_id = key.first;
     info.field_name = key.second;

@@ -17,7 +17,6 @@
 
 #include "catalyst/catalyst.hpp"
 #include "colza/backend.hpp"
-#include "common/arena.hpp"
 #include "des/time.hpp"
 #include "render/render.hpp"
 #include "vis/communicator.hpp"
@@ -79,24 +78,16 @@ class CatalystBackend final : public Backend {
   //
   // Keyed storage makes stage() idempotent: a retransmitted, duplicated, or
   // repair-driven stage for the same (block, field) replaces the earlier
-  // copy instead of compositing the block twice. Map nodes churn once per
-  // staged block and all die at deactivate, so they live in the backend's
-  // slab arena (rewound when no iteration is active) instead of the heap.
+  // copy instead of compositing the block twice.
   struct StoredBlock {
     std::vector<std::byte> data;
     std::uint32_t checksum = 0;
     net::ProcId sender = net::kInvalidProc;
     std::vector<net::ProcId> copyset;
   };
-  struct StagingSlot {
-    using IndexKey = std::pair<std::uint64_t, std::string>;
-    using IndexAlloc =
-        common::ArenaAllocator<std::pair<const IndexKey, StoredBlock>>;
-
-    explicit StagingSlot(common::Arena& arena) : blocks(IndexAlloc(arena)) {}
-
-    std::map<IndexKey, StoredBlock, std::less<IndexKey>, IndexAlloc> blocks;
-  };
+  // One iteration's blocks, keyed by (block id, field name).
+  using StagingSlot =
+      std::map<std::pair<std::uint64_t, std::string>, StoredBlock>;
 
   [[nodiscard]] StoredBlock* find_stored(std::uint64_t iteration,
                                          std::uint64_t block_id,
@@ -104,7 +95,6 @@ class CatalystBackend final : public Backend {
 
   catalyst::PipelineScript script_;
   bool first_execute_ = true;  // models VTK/Python init on first use
-  common::Arena arena_{16 * 1024};  // must outlive staged_ (declared first)
   std::map<std::uint64_t, StagingSlot> staged_;
   render::FrameBuffer fb_;
   std::vector<Record> records_;

@@ -1,12 +1,10 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) for end-to-end payload
 // integrity on the staging data plane.
 //
-// Two implementations, selected at runtime via the common/simd.hpp dispatch
-// policy: a hardware path using the SSE4.2 `crc32` instruction and a scalar
-// table fallback. CRC is an exact function of the input, so -- unlike the
-// floating-point kernels the SIMD policy was written for -- the two paths are
-// bit-identical by construction; COLZA_SIMD=off still forces the scalar path
-// so CI can cross-check them (scripts/check.sh) and perf runs can bisect.
+// Two implementations: a hardware path using the SSE4.2 `crc32` instruction,
+// taken whenever the CPU has SSE4.2, and a scalar table fallback. CRC is an
+// exact function of the input, so the two paths are bit-identical by
+// construction; common_test compares them bit for bit on every run.
 //
 // Every staged block is hashed twice (client, then server after the pull),
 // so the hardware path is written to run at memory speed. One `crc32`
@@ -37,8 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-
-#include "common/simd.hpp"
 
 namespace colza::common {
 
@@ -188,7 +184,7 @@ inline bool crc32c_hw_usable() noexcept {
                                           std::uint32_t seed = 0) noexcept {
   const std::uint32_t crc = ~seed;
 #if defined(__x86_64__)
-  if (simd::active() != simd::Level::scalar && detail::crc32c_hw_usable()) {
+  if (detail::crc32c_hw_usable()) {
     return ~detail::crc32c_hw(data.data(), data.size(), crc);
   }
 #endif

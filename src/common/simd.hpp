@@ -1,46 +1,29 @@
-// Runtime SIMD dispatch policy.
+// Runtime SIMD dispatch.
 //
 // Kernels that have a vector path (icet run-length encoding, Gray-Scott
-// stencils) ship both an AVX2 and a scalar implementation and pick one at
-// runtime via active(). The choice never affects results: every vector path
-// is required to evaluate the exact scalar operation tree per lane (same
+// stencils) ship both an AVX2 and a scalar implementation and take the AVX2
+// one whenever the CPU has it. The choice never affects results: every vector
+// path is required to evaluate the exact scalar operation tree per lane (same
 // association order, no FMA contraction -- the AVX2 functions are compiled
-// with target("avx2") only, which cannot emit fused multiply-adds), so
-// images and timelines are bit-identical either way. COLZA_SIMD=off forces
-// the scalar path for perf bisection and for CI cross-checking.
+// with target("avx2") only, which cannot emit fused multiply-adds), so images
+// and timelines are bit-identical either way. The tests call both paths
+// directly and compare their outputs bit for bit.
 //
 // Kernels dominated by libm transcendentals (the Mandelbulb distance
 // estimator: pow/acos/atan2) stay scalar by policy -- a vector math library
 // would change ulps and break render-hash determinism.
 #pragma once
 
-#include <cstdlib>
-#include <string_view>
-
 namespace colza::common::simd {
 
-enum class Level { scalar, avx2 };
-
-// Mutable so the invariance tests can flip paths mid-process; everything
-// else treats it as read-only after the env-derived initialization.
-inline Level& active_level() noexcept {
-  static Level lvl = [] {
-    const char* env = std::getenv("COLZA_SIMD");
-    if (env != nullptr && std::string_view(env) == "off") return Level::scalar;
+// True when the CPU supports AVX2 (probed once, then cached).
+inline bool avx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2")) return Level::avx2;
+  static const bool supported = __builtin_cpu_supports("avx2") != 0;
+  return supported;
+#else
+  return false;
 #endif
-    return Level::scalar;
-  }();
-  return lvl;
-}
-
-inline Level active() noexcept { return active_level(); }
-
-inline bool avx2() noexcept { return active() == Level::avx2; }
-
-inline const char* name() noexcept {
-  return active() == Level::avx2 ? "avx2" : "scalar";
 }
 
 }  // namespace colza::common::simd

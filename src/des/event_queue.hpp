@@ -1,7 +1,7 @@
 // The pending-event store for the DES core: a ladder queue with an exact
-// min-heap "bottom", plus a plain binary-heap fallback.
+// min-heap "bottom".
 //
-// Why not just the heap? Every message, timer, SWIM ping and flow-credit
+// Why not just a heap? Every message, timer, SWIM ping and flow-credit
 // grant funnels through this structure, and a binary heap pays O(log N)
 // compares *and* O(log N) 32-byte moves per operation. At 512-4096 simulated
 // procs the pending population reaches 10^3..10^6 events and the heap's sift
@@ -23,13 +23,12 @@
 //            When the rungs run dry the whole top is re-bucketed into a
 //            fresh rung sized to its observed [min, max] span ("epoch").
 //
-// Ordering is EXACTLY the old priority_queue's EventOrder -- (time, then
-// seq & ~kDaemonBit) -- because every deliverable event reaches the bottom
-// heap before being popped; buckets only ever partition by time range, never
-// reorder within one. A same-timestamp burst lands in one bucket and the
-// bottom heap breaks the tie by sequence number, so virtual timelines are
-// bit-identical to the heap implementation (perf_invariance_test holds both
-// implementations to the same golden sequence).
+// Ordering is EXACTLY EventOrder's -- (time, then seq & ~kDaemonBit) --
+// because every deliverable event reaches the bottom heap before being
+// popped; buckets only ever partition by time range, never reorder within
+// one. A same-timestamp burst lands in one bucket and the bottom heap breaks
+// the tie by sequence number (des_test holds the queue to a
+// std::priority_queue's pop sequence).
 //
 // Invariant chain (what makes O(1) sound):
 //   * all events in bottom have time <  bottom_limit_
@@ -93,12 +92,6 @@ struct EventOrder {
   }
 };
 
-// Which pending-event store a Simulation uses. auto_select honors the
-// COLZA_DES_QUEUE env var ("heap" or "ladder") and defaults to ladder; the
-// explicit values pin the choice regardless of environment (used by the
-// perf-invariance tests to compare the two implementations head to head).
-enum class QueueImpl { auto_select, ladder, heap };
-
 struct EventQueueStats {
   std::uint64_t peak_depth = 0;     // high-water pending-event count
   std::uint64_t rung_spawns = 0;    // finer rungs created (ladder resizes)
@@ -107,14 +100,6 @@ struct EventQueueStats {
 
 class EventQueue {
  public:
-  enum class Impl { ladder, heap };
-
-  explicit EventQueue(Impl impl) : impl_(impl) {}
-
-  [[nodiscard]] Impl impl() const noexcept { return impl_; }
-  [[nodiscard]] const char* impl_name() const noexcept {
-    return impl_ == Impl::ladder ? "ladder" : "heap";
-  }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] const EventQueueStats& stats() const noexcept {
@@ -127,7 +112,7 @@ class EventQueue {
   void push(const Event& e) {
     ++size_;
     if (size_ > stats_.peak_depth) stats_.peak_depth = size_;
-    if (impl_ == Impl::heap || e.time < bottom_limit_) {
+    if (e.time < bottom_limit_) {
       bottom_.push_back(e);
       std::push_heap(bottom_.begin(), bottom_.end(), EventOrder{});
       return;
@@ -310,7 +295,6 @@ class EventQueue {
     }
   }
 
-  Impl impl_;
   std::size_t size_ = 0;
   EventQueueStats stats_;
   std::vector<Event> bottom_;  // min-heap via EventOrder

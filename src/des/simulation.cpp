@@ -1,8 +1,6 @@
 #include "des/simulation.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 
 #include "common/log.hpp"
@@ -105,21 +103,8 @@ void Fiber::trampoline() {
 // ---------------------------------------------------------------------------
 // Simulation
 
-namespace {
-EventQueue::Impl resolve_queue_impl(QueueImpl q) {
-  if (q == QueueImpl::heap) return EventQueue::Impl::heap;
-  if (q == QueueImpl::ladder) return EventQueue::Impl::ladder;
-  const char* env = std::getenv("COLZA_DES_QUEUE");
-  if (env != nullptr && std::strcmp(env, "heap") == 0)
-    return EventQueue::Impl::heap;
-  return EventQueue::Impl::ladder;
-}
-}  // namespace
-
 Simulation::Simulation(SimConfig config)
-    : config_(config),
-      rng_(config.seed),
-      queue_(resolve_queue_impl(config.queue_impl)) {}
+    : config_(config), rng_(config.seed) {}
 
 Simulation::~Simulation() {
   // Destroy callback state still sitting in the queue, then the freelist.

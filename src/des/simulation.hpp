@@ -11,8 +11,8 @@
 //     primitive from des/sync.hpp). Blocking never spins.
 //   * Compute cost is *charged*: charge(d) advances the fiber's position in
 //     virtual time, exactly like sleep; charge_scoped() runs real code,
-//     measures its wall-clock duration, and charges that (scaled), which is
-//     how real filter/render computation lands on the owning rank's clock.
+//     measures its wall-clock duration, and charges that, which is how real
+//     filter/render computation lands on the owning rank's clock.
 //     Work that skips a repeated pure kernel reports the host time the
 //     kernel took when it did run (replay_host_ns), and the enclosing
 //     charge_scoped charges it as if measured -- SMPI's SMPI_SAMPLE_* idea.
@@ -52,14 +52,6 @@ namespace colza::des {
 struct SimConfig {
   std::uint64_t seed = 42;
   std::size_t default_stack_size = 512 * 1024;
-  // Pending-event store selection; auto_select honors COLZA_DES_QUEUE
-  // ("heap"/"ladder") and defaults to the ladder queue. Both implementations
-  // produce bit-identical timelines; the knob exists for invariance testing
-  // and for bisecting perf regressions.
-  QueueImpl queue_impl = QueueImpl::auto_select;
-  // Multiplier applied by charge_scoped to measured wall time before
-  // charging, to model faster/slower simulated cores. 1.0 = host speed.
-  double compute_time_scale = 1.0;
   // Reproducibility switch for the chaos/replay harness: when nonzero,
   // charge_scoped ignores the wall clock and charges exactly this duration
   // per call. The work still runs (its results are real); only its modeled
@@ -105,8 +97,8 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return events_processed_;
   }
-  // The pending-event store (depth, ladder stats, active implementation);
-  // obs/bench sample this for the per-iteration runtime gauges.
+  // The pending-event store (depth, ladder stats); obs/bench sample this
+  // for the per-iteration runtime gauges.
   [[nodiscard]] const EventQueue& event_queue() const noexcept {
     return queue_;
   }
@@ -151,9 +143,9 @@ class Simulation {
   // (Semantically sleep_for; separate so traces can label compute spans.)
   void charge(Duration d);
 
-  // Run `work` for real, measure it, charge (measured + the host ns `work`
-  // replayed) * compute_time_scale. Returns work's result. The measurement is
-  // clean because nothing else runs concurrently on the host thread.
+  // Run `work` for real, measure it, charge measured + the host ns `work`
+  // replayed. Returns work's result. The measurement is clean because
+  // nothing else runs concurrently on the host thread.
   template <typename F>
   auto charge_scoped(F&& work) {
     if (config_.fixed_scoped_charge > 0) {
@@ -171,10 +163,10 @@ class Simulation {
     const std::uint64_t t0 = wall_ns();
     if constexpr (std::is_void_v<std::invoke_result_t<F>>) {
       work();
-      charge(scaled(wall_ns() - t0 + (replayed_ns_ - replayed0)));
+      charge(wall_ns() - t0 + (replayed_ns_ - replayed0));
     } else {
       auto result = work();
-      charge(scaled(wall_ns() - t0 + (replayed_ns_ - replayed0)));
+      charge(wall_ns() - t0 + (replayed_ns_ - replayed0));
       return result;
     }
   }
@@ -268,10 +260,6 @@ class Simulation {
   void fiber_finished(Fiber* f);
   bool step();  // process one event; false if queue empty
   void check_deadlock() const;
-  [[nodiscard]] Duration scaled(std::uint64_t wall) const noexcept {
-    return static_cast<Duration>(static_cast<double>(wall) *
-                                 config_.compute_time_scale);
-  }
   static std::uint64_t wall_ns() noexcept;
 
   SimConfig config_;

@@ -184,11 +184,7 @@ Status ServerFlow::consume(std::uint64_t grant_id, const std::string& pipeline,
     grants_.erase(it);  // the lease is spent either way
   }
   const BlockKey key{block_id, field, replica_rank};
-  auto& by_iter = charged_[pipeline];
-  auto sit = by_iter.find(iteration);
-  if (sit == by_iter.end())
-    sit = by_iter.try_emplace(iteration, ChargeAlloc(arena_)).first;
-  auto& slots = sit->second;
+  auto& slots = charged_[pipeline][iteration];
   const std::uint64_t old = slots.count(key) != 0 ? slots[key] : 0;
   // Admit iff the post-state fits: everything currently in use, minus the
   // credit this stage returns (its reservation plus the charge it replaces),
@@ -243,7 +239,6 @@ void ServerFlow::free_iteration(const std::string& pipeline,
   for (const auto& [key, b] : iit->second) freed += b;
   pit->second.erase(iit);
   if (pit->second.empty()) charged_.erase(pit);
-  if (charged_.empty()) arena_.reset();  // iteration boundary: no live nodes
   in_use_ -= freed;
   uncharge(freed);
   if (freed > 0) pump();
@@ -258,7 +253,6 @@ void ServerFlow::free_pipeline(const std::string& pipeline) {
     for (const auto& [key, b] : slots) freed += b;
   }
   charged_.erase(pit);
-  if (charged_.empty()) arena_.reset();
   in_use_ -= freed;
   uncharge(freed);
   if (freed > 0) pump();

@@ -25,7 +25,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/json.hpp"
 #include "common/status.hpp"
 #include "des/simulation.hpp"
@@ -132,13 +131,8 @@ class ServerFlow {
     bool canceled = false;
   };
   using BlockKey = std::tuple<std::uint64_t, std::string, std::uint32_t>;
-  // Innermost per-iteration charge records churn once per staged block and
-  // all die at free_iteration/free_pipeline; their map nodes live in a slab
-  // arena that rewinds whenever the last charge drains.
-  using ChargeAlloc =
-      common::ArenaAllocator<std::pair<const BlockKey, std::uint64_t>>;
-  using ChargeMap =
-      std::map<BlockKey, std::uint64_t, std::less<BlockKey>, ChargeAlloc>;
+  // One iteration's charged bytes per staged block.
+  using ChargeMap = std::map<BlockKey, std::uint64_t>;
 
   [[nodiscard]] bool fits(std::uint64_t bytes) const noexcept {
     return in_use_ + bytes <= config_.budget_bytes;
@@ -168,7 +162,6 @@ class ServerFlow {
   std::uint64_t grants_total_ = 0;
   std::uint64_t sheds_total_ = 0;
   std::map<std::uint64_t, Grant> grants_;
-  common::Arena arena_{16 * 1024};  // must outlive charged_ (declared first)
   std::map<std::string, std::map<std::uint64_t, ChargeMap>> charged_;
   std::map<std::string, std::uint32_t> weights_;  // admin-set, for quota_json
   DrrQueue<std::shared_ptr<Waiter>> queue_;

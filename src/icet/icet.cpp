@@ -115,13 +115,12 @@ CommVTable make_vtable(vis::Communicator& comm) {
 
 // ---------------------------------------------------------------- encoding
 
-namespace {
+namespace detail {
 
-// All 8 pixels starting at `p` inactive? The contiguous depth compare
-// vectorizes; the strided alpha check only runs for blocks that pass it
-// (the overwhelmingly common case in sparse images).
-inline bool inactive_block8_scalar(const float* rgba, const float* depth,
-                                   std::size_t p) {
+// The contiguous depth compare vectorizes; the strided alpha check only runs
+// for blocks that pass it (the overwhelmingly common case in sparse images).
+bool inactive_block8_scalar(const float* rgba, const float* depth,
+                            std::size_t p) {
   bool bg = true;
   for (int i = 0; i < 8; ++i) bg &= depth[p + i] == 1.0f;
   if (!bg) return false;
@@ -135,7 +134,7 @@ inline bool inactive_block8_scalar(const float* rgba, const float* depth,
 // AVX2 variant: one vcmpps+movmask for the 8 depths; the 32 interleaved
 // rgba floats are 4 vector compares whose alpha lanes sit at mask bits 3
 // and 7 (0x88). Pure predicate -- results match the scalar path exactly.
-__attribute__((target("avx2"))) inline bool inactive_block8_avx2(
+__attribute__((target("avx2"))) bool inactive_block8_avx2(
     const float* rgba, const float* depth, std::size_t p) {
   const __m256 d = _mm256_loadu_ps(depth + p);
   if (_mm256_movemask_ps(_mm256_cmp_ps(d, _mm256_set1_ps(1.0f),
@@ -156,12 +155,16 @@ __attribute__((target("avx2"))) inline bool inactive_block8_avx2(
 }
 #endif  // __x86_64__
 
+}  // namespace detail
+
+namespace {
+
 inline bool inactive_block8(const float* rgba, const float* depth,
                             std::size_t p) {
 #if defined(__x86_64__)
-  if (common::simd::avx2()) return inactive_block8_avx2(rgba, depth, p);
+  if (common::simd::avx2()) return detail::inactive_block8_avx2(rgba, depth, p);
 #endif
-  return inactive_block8_scalar(rgba, depth, p);
+  return detail::inactive_block8_scalar(rgba, depth, p);
 }
 
 }  // namespace

@@ -79,4 +79,16 @@ void composite_local(render::FrameBuffer& dst, const render::FrameBuffer& src,
 void composite_sparse(render::FrameBuffer& fb, std::size_t begin,
                       std::span<const std::byte> encoded, CompositeOp op);
 
+namespace detail {
+// encode_sparse's run scan: are all 8 pixels starting at `p` inactive (depth
+// == 1.0 and alpha == 0)? The AVX2 variant, taken when the CPU has AVX2, must
+// answer exactly as the scalar one for every input, NaN and -0.0 included.
+[[nodiscard]] bool inactive_block8_scalar(const float* rgba,
+                                          const float* depth, std::size_t p);
+#if defined(__x86_64__)
+[[nodiscard]] __attribute__((target("avx2"))) bool inactive_block8_avx2(
+    const float* rgba, const float* depth, std::size_t p);
+#endif
+}  // namespace detail
+
 }  // namespace colza::icet

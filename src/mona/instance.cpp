@@ -161,26 +161,12 @@ std::pair<std::size_t, std::size_t> Instance::arrival_index_stats(
 
 void Instance::demux_loop() {
   auto& box = proc_->mailbox(kMailbox);
-  if (!net::batch_delivery_enabled()) {
-    while (!stopped_) {
-      auto msg = box.recv();
-      if (!msg.has_value()) return;
-      dispatch(std::move(*msg));
-    }
-    return;
-  }
-  // Incast bursts (collectives, staging fan-in) land many messages in the
-  // mailbox at one virtual instant; drain them all under a single wakeup.
+  // An incast burst (collectives, staging fan-in) that lands at one virtual
+  // instant costs one wakeup: recv() on a non-empty mailbox never blocks.
   while (!stopped_) {
-    // Constructed empty (no allocation) every pass: while this fiber is
-    // parked inside recv_batch it must own no heap, because fibers still
-    // blocked at simulation teardown are freed without unwinding.
-    std::vector<net::Message> batch;
-    if (!box.recv_batch(batch)) return;
-    for (net::Message& m : batch) {
-      if (stopped_) return;
-      dispatch(std::move(m));
-    }
+    auto msg = box.recv();
+    if (!msg.has_value()) return;  // mailbox closed (shutdown or kill)
+    dispatch(std::move(*msg));
   }
 }
 

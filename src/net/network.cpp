@@ -1,23 +1,11 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/log.hpp"
 
 namespace colza::net {
-
-bool& batch_delivery_flag() noexcept {
-  static bool enabled = [] {
-    const char* env = std::getenv("COLZA_BATCH_DELIVERY");
-    return env == nullptr || std::string_view(env) != "off";
-  }();
-  return enabled;
-}
-
-bool batch_delivery_enabled() noexcept { return batch_delivery_flag(); }
 
 namespace {
 // Serialization time of `bytes` at `gbps` gigabytes per second, in ns.
@@ -54,20 +42,6 @@ std::optional<Message> Mailbox::recv(std::optional<des::Duration> timeout) {
   Message msg = std::move(queue_.front());
   queue_.pop_front();
   return msg;
-}
-
-bool Mailbox::recv_batch(std::vector<Message>& out) {
-  des::LockGuard g(mutex_);
-  cv_.wait(mutex_, [this] { return !queue_.empty() || closed_; });
-  if (queue_.empty()) return false;  // closed
-  DeliveryStats& stats = DeliveryStats::global();
-  ++stats.batches;
-  stats.messages += queue_.size();
-  if (queue_.size() > stats.max_batch) stats.max_batch = queue_.size();
-  out.reserve(out.size() + queue_.size());
-  for (Message& m : queue_) out.push_back(std::move(m));
-  queue_.clear();
-  return true;
 }
 
 std::optional<Message> Mailbox::try_recv() {

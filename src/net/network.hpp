@@ -116,17 +116,6 @@ class Mailbox {
       std::optional<des::Duration> timeout = std::nullopt);
   std::optional<Message> try_recv();
 
-  // Drains every queued message in one wakeup: blocks like recv() until at
-  // least one message is present, then moves the whole queue into `out`
-  // (appending). Returns false only when the mailbox is closed and empty.
-  // Virtual-time neutral -- the same messages arrive at the same instants;
-  // the receiver pays one lock/wakeup per burst instead of one per message.
-  // `out` is a vector (not a deque) so callers can block in here holding a
-  // buffer that owns no heap: fibers still parked at simulation teardown are
-  // freed without unwinding, and an empty vector has nothing to leak while
-  // an empty deque always owns one node.
-  bool recv_batch(std::vector<Message>& out);
-
   // Wakes all blocked receivers with "no message" (used when the owning
   // process dies or shuts down).
   void close();
@@ -140,25 +129,6 @@ class Mailbox {
   std::deque<Message> queue_;
   bool closed_ = false;
 };
-
-// Process-global counters for the batched-delivery path (the bench harness
-// samples these into obs gauges at iteration snapshots). The DES is
-// single-threaded, so plain integers suffice.
-struct DeliveryStats {
-  std::uint64_t batches = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t max_batch = 0;
-  static DeliveryStats& global() noexcept {
-    static DeliveryStats s;
-    return s;
-  }
-};
-
-// COLZA_BATCH_DELIVERY=off reverts demux loops to one-message-per-wakeup
-// recv() for perf bisection; timelines are identical either way. The flag
-// reference is mutable so the invariance tests can flip it mid-process.
-[[nodiscard]] bool& batch_delivery_flag() noexcept;
-[[nodiscard]] bool batch_delivery_enabled() noexcept;
 
 // Identifies a memory region exposed for RDMA by some process. Serializable;
 // this is what Colza's stage() metadata carries instead of the data itself.

@@ -147,26 +147,12 @@ void Engine::shutdown() {
 
 void Engine::demux_loop() {
   auto& box = proc_->mailbox(kMailbox);
-  if (!net::batch_delivery_enabled()) {
-    while (!stopped_) {
-      auto msg = box.recv();
-      if (!msg.has_value()) return;  // mailbox closed (shutdown or kill)
-      process_message(std::move(*msg));
-    }
-    return;
-  }
-  // Request/response bursts arrive at one virtual instant (incast replies,
-  // fan-out requests); drain the whole mailbox under a single wakeup.
+  // A burst that lands at one virtual instant (incast replies, fan-out
+  // requests) costs one wakeup: recv() on a non-empty mailbox never blocks.
   while (!stopped_) {
-    // Constructed empty (no allocation) every pass: while this fiber is
-    // parked inside recv_batch it must own no heap, because fibers still
-    // blocked at simulation teardown are freed without unwinding.
-    std::vector<net::Message> batch;
-    if (!box.recv_batch(batch)) return;  // mailbox closed
-    for (net::Message& m : batch) {
-      if (stopped_) return;
-      process_message(std::move(m));
-    }
+    auto msg = box.recv();
+    if (!msg.has_value()) return;  // mailbox closed (shutdown or kill)
+    process_message(std::move(*msg));
   }
 }
 

@@ -7,6 +7,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -14,6 +17,9 @@
 #include "apps/dwi_proxy.hpp"
 #include "apps/gray_scott.hpp"
 #include "apps/mandelbulb.hpp"
+#include "apps/stencil_simd.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "des/simulation.hpp"
 #include "mona/mona.hpp"
 #include "net/network.hpp"
@@ -130,6 +136,58 @@ TEST(GrayScott, InvalidConfigThrows) {
                std::invalid_argument);  // more ranks than planes
 }
 
+TEST(GrayScott, RowKernelAvx2MatchesScalar) {
+  // Both solvers' inner loop: the AVX2 row kernel must write the scalar
+  // kernel's bits for every input, special values included, at every count
+  // (so every tail length), and nothing past `count`. Finite inputs span
+  // many binades, so a reassociated sum changes the rounding visibly.
+#if defined(__x86_64__)
+  if (!common::simd::avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  constexpr std::uint32_t kMax = 17;
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -0x1.8p-1030};
+  const GrayScott::Params p;
+  Rng rng(23);
+  // Center and six neighbour rows for u, then the same for v.
+  std::vector<std::vector<double>> in(14, std::vector<double>(kMax));
+  for (std::uint32_t count = 0; count <= kMax; ++count) {
+    for (int round = 0; round < 8; ++round) {
+      for (auto& row : in) {
+        for (double& x : row) {
+          x = rng.below(16) == 0
+                  ? specials[rng.below(std::size(specials))]
+                  : std::ldexp(rng.uniform(-1.0, 1.0),
+                               static_cast<int>(rng.below(24)) - 8);
+        }
+      }
+      std::vector<double> scalar(2 * kMax, 7.0);
+      std::vector<double> avx2(2 * kMax, 7.0);
+      auto rows = [&](std::vector<double>& out) {
+        return detail::GsRow{in[0].data(),  in[1].data(),  in[2].data(),
+                             in[3].data(),  in[4].data(),  in[5].data(),
+                             in[6].data(),  in[7].data(),  in[8].data(),
+                             in[9].data(),  in[10].data(), in[11].data(),
+                             in[12].data(), in[13].data(), out.data(),
+                             out.data() + kMax};
+      };
+      detail::gs_row_scalar(rows(scalar), count, p.du, p.dv, p.feed, p.kill,
+                            p.dt);
+      detail::gs_row_avx2(rows(avx2), count, p.du, p.dv, p.feed, p.kill,
+                          p.dt);
+      ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(),
+                            scalar.size() * sizeof(double)),
+                0)
+          << "count " << count << ", round " << round;
+    }
+  }
+#else
+  GTEST_SKIP() << "no AVX2 kernel on this architecture";
+#endif
+}
 
 // --------------------------------------------------------- GrayScott3D
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/archive.hpp"
-#include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/checksum.hpp"
 #include "common/json.hpp"
@@ -394,69 +393,6 @@ TEST(BufferPool, AdversarialInterleavingNeverAliasesLiveBuffers) {
                 common::BufferPool::kMaxPerClass);
 }
 
-// ---------------------------------------------------------------- Arena
-
-TEST(Arena, BumpAllocatesAndTracksHighWater) {
-  common::Arena arena(256);
-  void* a = arena.allocate(64);
-  void* b = arena.allocate(64);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(arena.bytes_in_use(), 128u);
-  EXPECT_EQ(arena.high_water(), 128u);
-  // Oversized request gets a dedicated slab rather than failing.
-  void* big = arena.allocate(4096);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.slab_bytes_reserved(), 4096u + 256u);
-}
-
-TEST(Arena, ResetReusesSlabsAcrossIterations) {
-  common::Arena arena(256);
-  // Simulates the per-iteration protocol-state lifecycle: fill, reset,
-  // refill. After the first iteration the slab set must stop growing (under
-  // ASan this also proves reset+reuse never touches poisoned bytes).
-  std::size_t reserved_after_first = 0;
-  for (int iter = 0; iter < 5; ++iter) {
-    for (int i = 0; i < 32; ++i) {
-      auto* p = static_cast<std::uint64_t*>(
-          arena.allocate(sizeof(std::uint64_t), alignof(std::uint64_t)));
-      *p = static_cast<std::uint64_t>(iter * 100 + i);
-      EXPECT_EQ(*p, static_cast<std::uint64_t>(iter * 100 + i));
-    }
-    if (iter == 0) reserved_after_first = arena.slab_bytes_reserved();
-    arena.reset();
-    EXPECT_EQ(arena.bytes_in_use(), 0u);
-  }
-  EXPECT_EQ(arena.slab_bytes_reserved(), reserved_after_first);
-  EXPECT_EQ(arena.resets(), 5u);
-}
-
-TEST(Arena, AllocatorWorksWithStandardContainers) {
-  common::Arena arena;
-  using Alloc = common::ArenaAllocator<std::pair<const int, int>>;
-  std::map<int, int, std::less<int>, Alloc> m{Alloc(arena)};
-  for (int i = 0; i < 100; ++i) m[i] = i * i;
-  EXPECT_EQ(m.size(), 100u);
-  EXPECT_EQ(m.at(7), 49);
-  if (common::arena_enabled()) EXPECT_GT(arena.bytes_in_use(), 0u);
-  m.clear();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-}
-
-TEST(Arena, GlobalTotalsAggregateAcrossArenas) {
-  const auto before = common::Arena::totals().bytes_in_use;
-  {
-    common::Arena a1(128), a2(128);
-    a1.allocate(32);
-    a2.allocate(32);
-    EXPECT_EQ(common::Arena::totals().bytes_in_use, before + 64);
-  }
-  // Destruction returns the arenas' contribution.
-  EXPECT_EQ(common::Arena::totals().bytes_in_use, before);
-}
-
 // ---------------------------------------------------------------- Crc32c
 
 std::vector<std::byte> to_bytes(const std::string& s) {
@@ -510,8 +446,8 @@ TEST(Crc32c, DetectsEverySingleBitFlip) {
   EXPECT_EQ(common::crc32c(data), good);
 }
 
-// The dispatch contract: whatever path crc32c() picks (COLZA_SIMD governs
-// it, scripts/check.sh cross-checks both settings), its result is
+// The dispatch contract: whatever path crc32c() picks (the SSE4.2 kernel
+// whenever the CPU has SSE4.2), its result and the hardware kernel's are
 // bit-identical to the scalar table fallback -- including every length mod
 // 8 (the hardware path switches from 64-bit to byte steps there), each side
 // of the three-chain block sizes (3 x 256 B and 3 x 8 KiB, whose partial

@@ -8,6 +8,7 @@
 #include <ctime>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -544,10 +545,19 @@ TEST(Sync, BarrierZeroCountThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue: the ladder implementation must reproduce the heap's pop
-// sequence exactly -- (time, seq & ~kDaemonBit) order -- for any input.
+// EventQueue: the ladder queue must reproduce a binary heap's pop sequence
+// exactly -- (time, seq & ~kDaemonBit) order -- for any input.
 
 namespace {
+
+// The reference order: a plain binary heap over the same comparator.
+using HeapQueue = std::priority_queue<Event, std::vector<Event>, EventOrder>;
+
+Event pop_top(HeapQueue& heap) {
+  const Event e = heap.top();
+  heap.pop();
+  return e;
+}
 
 Event make_event(Time t, std::uint64_t seq, bool daemon) {
   Event e;
@@ -559,12 +569,12 @@ Event make_event(Time t, std::uint64_t seq, bool daemon) {
 }
 
 // Pops everything from both queues, asserting identical sequences.
-void expect_same_drain(EventQueue& ladder, EventQueue& heap) {
+void expect_same_drain(EventQueue& ladder, HeapQueue& heap) {
   ASSERT_EQ(ladder.size(), heap.size());
   Time prev_time = 0;
   while (!heap.empty()) {
     const Event a = ladder.pop();
-    const Event b = heap.pop();
+    const Event b = pop_top(heap);
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.seq, b.seq);
     ASSERT_GE(a.time, prev_time);
@@ -578,8 +588,8 @@ void expect_same_drain(EventQueue& ladder, EventQueue& heap) {
 TEST(EventQueue, GoldenSequenceVsHeapWithTies) {
   // Heavy same-timestamp ties (bursts at identical times), mixed daemon
   // bits. The daemon bit must not perturb ordering.
-  EventQueue ladder(EventQueue::Impl::ladder);
-  EventQueue heap(EventQueue::Impl::heap);
+  EventQueue ladder;
+  HeapQueue heap;
   Rng rng(7);
   std::uint64_t seq = 1;
   for (int i = 0; i < 5000; ++i) {
@@ -596,8 +606,8 @@ TEST(EventQueue, InterleavedPushPopSkewedTimestamps) {
   // Mimics the simulation's access pattern: pop the minimum, then push a few
   // events at skewed offsets from it (including same-time pushes that land
   // below the ladder's bottom boundary).
-  EventQueue ladder(EventQueue::Impl::ladder);
-  EventQueue heap(EventQueue::Impl::heap);
+  EventQueue ladder;
+  HeapQueue heap;
   Rng rng(11);
   std::uint64_t seq = 1;
   for (int i = 0; i < 256; ++i) {
@@ -607,9 +617,9 @@ TEST(EventQueue, InterleavedPushPopSkewedTimestamps) {
     heap.push(e);
   }
   for (int round = 0; round < 4000; ++round) {
-    ASSERT_EQ(ladder.min_time(), heap.min_time());
+    ASSERT_EQ(ladder.min_time(), heap.top().time);
     const Event a = ladder.pop();
-    const Event b = heap.pop();
+    const Event b = pop_top(heap);
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.seq, b.seq);
     const int fanout = static_cast<int>(rng.below(3));
@@ -634,8 +644,8 @@ TEST(EventQueue, FarFutureEventsSpanLadderEpochs) {
   // Each batch sits orders of magnitude beyond the last, forcing repeated
   // top-region transfers (epochs) and rung subdivision while earlier batches
   // drain. Also verifies the resize/transfer statistics move.
-  EventQueue ladder(EventQueue::Impl::ladder);
-  EventQueue heap(EventQueue::Impl::heap);
+  EventQueue ladder;
+  HeapQueue heap;
   Rng rng(13);
   std::uint64_t seq = 1;
   Time base = 0;
@@ -649,7 +659,7 @@ TEST(EventQueue, FarFutureEventsSpanLadderEpochs) {
     // Drain half before the next far-future batch arrives.
     for (int i = 0; i < 200; ++i) {
       const Event a = ladder.pop();
-      const Event b = heap.pop();
+      const Event b = pop_top(heap);
       ASSERT_EQ(a.time, b.time);
       ASSERT_EQ(a.seq, b.seq);
     }
@@ -663,8 +673,8 @@ TEST(EventQueue, FarFutureEventsSpanLadderEpochs) {
 TEST(EventQueue, MillionPendingHighOccupancy) {
   // The tentpole's scaling claim in miniature: 10^5 pending events with a
   // skewed distribution drain in exact order and spawn finer rungs.
-  EventQueue ladder(EventQueue::Impl::ladder);
-  EventQueue heap(EventQueue::Impl::heap);
+  EventQueue ladder;
+  HeapQueue heap;
   Rng rng(17);
   std::uint64_t seq = 1;
   for (int i = 0; i < 100000; ++i) {
@@ -687,60 +697,24 @@ TEST(EventQueue, MillionPendingHighOccupancy) {
 
 TEST(Simulation, DaemonEventsDrainedAtShutdown) {
   // Far-future daemon callbacks (never fired) own callback state in the
-  // queue; destroying the Simulation must release it for both queue
-  // implementations (run under ASan in CI). Includes oversized captures
-  // that take the std::function fallback path.
-  for (QueueImpl impl : {QueueImpl::ladder, QueueImpl::heap}) {
-    SimConfig cfg;
-    cfg.queue_impl = impl;
-    auto shared = std::make_shared<int>(7);
-    {
-      Simulation sim(cfg);
-      sim.spawn("setup", [&] {
-        for (int i = 0; i < 300; ++i) {
-          std::array<char, 200> big{};  // > CallbackNode inline storage
-          sim.schedule_after(
-              seconds(7200 + static_cast<Duration>(i)),
-              [shared, big] { (void)big; },
-              /*daemon=*/true);
-        }
-      });
-      sim.run();  // daemon events remain pending at shutdown
-    }
-    EXPECT_EQ(shared.use_count(), 1);
+  // queue; destroying the Simulation must release it (run under ASan in
+  // CI). Includes oversized captures that take the std::function fallback
+  // path.
+  auto shared = std::make_shared<int>(7);
+  {
+    Simulation sim;
+    sim.spawn("setup", [&] {
+      for (int i = 0; i < 300; ++i) {
+        std::array<char, 200> big{};  // > CallbackNode inline storage
+        sim.schedule_after(
+            seconds(7200 + static_cast<Duration>(i)),
+            [shared, big] { (void)big; },
+            /*daemon=*/true);
+      }
+    });
+    sim.run();  // daemon events remain pending at shutdown
   }
-}
-
-TEST(Simulation, LadderAndHeapTimelinesMatch) {
-  // Same workload under both queue implementations: identical event counts
-  // and final clocks.
-  std::array<std::uint64_t, 2> events{};
-  std::array<Time, 2> final_time{};
-  int slot = 0;
-  for (QueueImpl impl : {QueueImpl::ladder, QueueImpl::heap}) {
-    SimConfig cfg;
-    cfg.queue_impl = impl;
-    Simulation sim(cfg);
-    Mutex m(sim);
-    CondVar cv(sim);
-    int stage = 0;
-    for (int i = 0; i < 16; ++i) {
-      sim.spawn("w" + std::to_string(i), [&, i] {
-        sim.sleep_for(microseconds(static_cast<Duration>(i) * 37 % 11));
-        LockGuard g(m);
-        cv.wait(m, [&] { return stage >= i; });
-        ++stage;
-        cv.notify_all();
-        sim.sleep_for(milliseconds(1));
-      });
-    }
-    sim.run();
-    events[static_cast<std::size_t>(slot)] = sim.events_processed();
-    final_time[static_cast<std::size_t>(slot)] = sim.now();
-    ++slot;
-  }
-  EXPECT_EQ(events[0], events[1]);
-  EXPECT_EQ(final_time[0], final_time[1]);
+  EXPECT_EQ(shared.use_count(), 1);
 }
 
 TEST(Simulation, ScheduleAfterOverflowingDurationClamps) {

@@ -3,9 +3,12 @@
 // running in the simulated fabric.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "des/simulation.hpp"
 #include "icet/icet.hpp"
 #include "mona/mona.hpp"
@@ -88,6 +91,40 @@ TEST(SparseEncoding, SizeScalesWithActivePixels) {
   }
   const auto big = encode_sparse(fb, 0, fb.pixel_count()).size();
   EXPECT_GT(big, 10 * small);
+}
+
+TEST(SparseEncoding, InactiveBlockAvx2MatchesScalar) {
+  // The run scan's 8-pixel predicate: with one lane off the background --
+  // depth one ulp either side of 1.0, or alpha 0.0, -0.0, NaN or a
+  // subnormal -- the AVX2 variant must answer exactly as the scalar one.
+#if defined(__x86_64__)
+  if (!common::simd::avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float depths[] = {1.0f, std::nextafter(1.0f, 0.0f),
+                          std::nextafter(1.0f, 2.0f), nan};
+  const float alphas[] = {0.0f, -0.0f, nan, tiny, -tiny};
+  constexpr std::size_t kP = 8;  // the block under test starts mid-buffer
+  for (std::size_t lane = 0; lane < 8; ++lane) {
+    for (float d : depths) {
+      for (float a : alphas) {
+        std::vector<float> rgba(4 * (kP + 8), 0.0f);
+        std::vector<float> depth(kP + 8, 1.0f);
+        depth[kP + lane] = d;
+        rgba[(kP + lane) * 4 + 3] = a;
+        const bool scalar =
+            detail::inactive_block8_scalar(rgba.data(), depth.data(), kP);
+        EXPECT_EQ(detail::inactive_block8_avx2(rgba.data(), depth.data(), kP),
+                  scalar)
+            << "lane " << lane << " depth " << d << " alpha " << a;
+        EXPECT_EQ(scalar, d == 1.0f && a == 0.0f)
+            << "lane " << lane << " depth " << d << " alpha " << a;
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "no AVX2 kernel on this architecture";
+#endif
 }
 
 // --------------------------------------------------------------- operators

@@ -502,49 +502,38 @@ TEST_F(NetTest, DragonflyGroupsAddInterGroupLatency) {
             flat.message_delay(0, 4, 1024, prof));
 }
 
-TEST_F(NetTest, RecvBatchDrainsBurstInOneWakeup) {
-  auto& b = net.create_process(0);
-  std::vector<std::string> got;
-  std::size_t wakeups = 0;
-  b.spawn("recv", [&] {
-    std::vector<Message> batch;
-    auto& box = b.mailbox("x");
-    while (box.recv_batch(batch)) {
-      ++wakeups;
-      for (auto& m : batch) got.push_back(string_of(m.payload));
-      batch.clear();
-    }
-  });
-  b.spawn("push", [&] {
-    sim.sleep_for(milliseconds(1));
-    // All five land before the receiver runs again: one wakeup, one batch,
-    // FIFO order preserved.
-    for (int i = 0; i < 5; ++i) {
-      b.mailbox("x").push(
-          Message{b.id(), 0, bytes_of("m" + std::to_string(i))});
-    }
-    sim.sleep_for(milliseconds(1));
-    b.mailbox("x").close();
-  });
-  sim.run();
-  ASSERT_EQ(got.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(got[i], "m" + std::to_string(i));
-  EXPECT_EQ(wakeups, 1u);
-}
-
-TEST_F(NetTest, RecvBatchReturnsFalseWhenClosedEmpty) {
-  auto& b = net.create_process(0);
-  bool returned_false = false;
-  b.spawn("recv", [&] {
-    std::vector<Message> batch;
-    returned_false = !b.mailbox("x").recv_batch(batch);
-  });
-  b.spawn("close", [&] {
-    sim.sleep_for(milliseconds(1));
-    b.mailbox("x").close();
-  });
-  sim.run();
-  EXPECT_TRUE(returned_false);
+TEST_F(NetTest, RecvDrainsSameInstantBurstWithoutExtraEvents) {
+  // A burst pushed at one instant wakes the receiver once: recv() on a
+  // non-empty mailbox returns without blocking, so five messages cost the
+  // run no more DES events than one does, and they come back in FIFO order.
+  auto run = [](int count, std::vector<std::string>& got) {
+    des::Simulation s;
+    Network n(s);
+    auto& p = n.create_process(0);
+    p.spawn("recv", [&] {
+      auto& box = p.mailbox("x");
+      while (auto m = box.recv()) got.push_back(string_of(m->payload));
+    });
+    p.spawn("push", [&] {
+      s.sleep_for(milliseconds(1));
+      for (int i = 0; i < count; ++i) {
+        p.mailbox("x").push(
+            Message{p.id(), 0, bytes_of("m" + std::to_string(i))});
+      }
+      s.sleep_for(milliseconds(1));
+      p.mailbox("x").close();
+    });
+    s.run();
+    return s.events_processed();
+  };
+  std::vector<std::string> one;
+  std::vector<std::string> five;
+  const std::uint64_t one_events = run(1, one);
+  const std::uint64_t five_events = run(5, five);
+  EXPECT_EQ(one, std::vector<std::string>{"m0"});
+  ASSERT_EQ(five.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(five[i], "m" + std::to_string(i));
+  EXPECT_EQ(five_events, one_events);
 }
 
 }  // namespace
