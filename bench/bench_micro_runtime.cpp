@@ -193,13 +193,13 @@ void BM_MonaMessageFlood(benchmark::State& state) {
 BENCHMARK(BM_MonaMessageFlood)->Arg(64)->Arg(65536);
 
 // ---------------------------------------------------------------------------
-// Wall-clock "runtime report" mode (--runtime-report[=path]).
+// Wall-clock "runtime report" mode (--runtime-report=PATH).
 //
 // Runs a fixed message-heavy scenario -- a ring of mona instances flooding
 // point-to-point traffic plus a batch of collectives -- entirely in host
 // time, and reports how fast the simulator core itself chews through it:
-// DES events/sec and delivered payload bytes/sec. Emits BENCH_runtime.json
-// so speedups of the runtime substrate are measurable across commits.
+// DES events/sec and delivered payload bytes/sec, as JSON at PATH (the
+// checked-in BENCH_runtime.json is the history of these numbers).
 //
 // --procs=N selects the scenario scale. N=8 is the historical scenario
 // (comparable across PRs); 512 and 4096 shrink the per-proc message counts
@@ -317,17 +317,12 @@ RuntimeReport run_runtime_scenario(const ScenarioScale& sc) {
   return rep;
 }
 
-int run_runtime_report(const std::string& path, int procs, int repeats) {
+// One run of the scenario: its event count is a pure function of the code,
+// and perfbench's staging-flood workload is the instrument for host time,
+// so the report's wall numbers are a single run's.
+int run_runtime_report(const std::string& path, int procs) {
   const ScenarioScale sc = scale_for(procs);
-  // Warm-up run (populates buffer/stack pools, page cache), then measure
-  // the best of `repeats` to damp host noise. The 4k scenario skips the
-  // warm-up and runs fewer repeats -- one run is already seconds long.
-  if (sc.procs <= 512) (void)run_runtime_scenario(sc);
-  RuntimeReport best;
-  for (int i = 0; i < repeats; ++i) {
-    RuntimeReport r = run_runtime_scenario(sc);
-    if (best.wall_seconds == 0 || r.wall_seconds < best.wall_seconds) best = r;
-  }
+  const RuntimeReport rep = run_runtime_scenario(sc);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -349,19 +344,19 @@ int run_runtime_report(const std::string& path, int procs, int repeats) {
                "  \"delivered_bytes_per_sec\": %.0f\n"
                "}\n",
                sc.procs, sc.msgs, sc.big_msgs, sc.collectives,
-               best.wall_seconds, static_cast<unsigned long long>(best.events),
-               static_cast<unsigned long long>(best.messages),
-               static_cast<unsigned long long>(best.delivered_bytes),
-               best.events_per_sec, best.messages_per_sec, best.bytes_per_sec);
+               rep.wall_seconds, static_cast<unsigned long long>(rep.events),
+               static_cast<unsigned long long>(rep.messages),
+               static_cast<unsigned long long>(rep.delivered_bytes),
+               rep.events_per_sec, rep.messages_per_sec, rep.bytes_per_sec);
   std::fclose(f);
   std::printf(
       "runtime report (%d procs): %.3fs wall, %.0f events/s, "
       "%.2f MB/s delivered, %.0f msgs/s -> %s\n",
-      sc.procs, best.wall_seconds, best.events_per_sec,
-      best.bytes_per_sec / 1e6, best.messages_per_sec, path.c_str());
-  if (sc.procs == 8 && best.events != kPinnedEvents8) {
+      sc.procs, rep.wall_seconds, rep.events_per_sec,
+      rep.bytes_per_sec / 1e6, rep.messages_per_sec, path.c_str());
+  if (sc.procs == 8 && rep.events != kPinnedEvents8) {
     std::fprintf(stderr, "runtime report: %llu events, pinned %llu\n",
-                 static_cast<unsigned long long>(best.events),
+                 static_cast<unsigned long long>(rep.events),
                  static_cast<unsigned long long>(kPinnedEvents8));
     return 1;
   }
@@ -369,7 +364,7 @@ int run_runtime_report(const std::string& path, int procs, int repeats) {
 }
 
 // ---------------------------------------------------------------------------
-// High-occupancy event-queue stress (--queue-report[=path]).
+// High-occupancy event-queue stress (--queue-report=PATH).
 //
 // Seeds 2^20 pending events with a skewed timestamp distribution (dense
 // near-term mass, a long seconds-scale tail, and deliberate same-timestamp
@@ -428,12 +423,9 @@ QueueReport run_queue_scenario() {
   return rep;
 }
 
+// One run of the stress, like the runtime report.
 int run_queue_report(const std::string& path) {
-  QueueReport best;
-  for (int i = 0; i < 3; ++i) {
-    QueueReport r = run_queue_scenario();
-    if (best.wall_seconds == 0 || r.wall_seconds < best.wall_seconds) best = r;
-  }
+  const QueueReport rep = run_queue_scenario();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -450,20 +442,20 @@ int run_queue_report(const std::string& path) {
                "  \"rung_spawns\": %llu,\n"
                "  \"top_transfers\": %llu\n"
                "}\n",
-               best.wall_seconds,
-               static_cast<unsigned long long>(best.events),
-               best.events_per_sec,
-               static_cast<unsigned long long>(best.peak_depth),
-               static_cast<unsigned long long>(best.rung_spawns),
-               static_cast<unsigned long long>(best.top_transfers));
+               rep.wall_seconds,
+               static_cast<unsigned long long>(rep.events),
+               rep.events_per_sec,
+               static_cast<unsigned long long>(rep.peak_depth),
+               static_cast<unsigned long long>(rep.rung_spawns),
+               static_cast<unsigned long long>(rep.top_transfers));
   std::fclose(f);
   std::printf(
       "queue report: %.3fs wall, %.0f events/s, peak depth %llu, "
       "%llu rung spawns, %llu top transfers -> %s\n",
-      best.wall_seconds, best.events_per_sec,
-      static_cast<unsigned long long>(best.peak_depth),
-      static_cast<unsigned long long>(best.rung_spawns),
-      static_cast<unsigned long long>(best.top_transfers), path.c_str());
+      rep.wall_seconds, rep.events_per_sec,
+      static_cast<unsigned long long>(rep.peak_depth),
+      static_cast<unsigned long long>(rep.rung_spawns),
+      static_cast<unsigned long long>(rep.top_transfers), path.c_str());
   return 0;
 }
 
@@ -480,18 +472,22 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // A report goes where --<report>=PATH says. There is no default path: one
+  // at the repo root would overwrite the checked-in BENCH_runtime.json.
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--queue-report", 14) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_queue_report(eq != nullptr ? eq + 1
-                                            : "BENCH_queue.json");
+    const bool runtime = std::strncmp(argv[i], "--runtime-report", 16) == 0;
+    const bool queue = std::strncmp(argv[i], "--queue-report", 14) == 0;
+    if (!runtime && !queue) continue;
+    const char* eq = std::strchr(argv[i], '=');
+    if (eq == nullptr || eq[1] == '\0') {
+      std::fprintf(stderr,
+                   "usage: %s --runtime-report=PATH [--procs=N]\n"
+                   "       %s --queue-report=PATH\n",
+                   argv[0], argv[0]);
+      return 2;
     }
-    if (std::strncmp(argv[i], "--runtime-report", 16) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      const int repeats = procs >= 4096 ? 2 : 3;
-      return run_runtime_report(
-          eq != nullptr ? eq + 1 : "BENCH_runtime.json", procs, repeats);
-    }
+    return runtime ? run_runtime_report(eq + 1, procs)
+                   : run_queue_report(eq + 1);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -38,8 +38,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build --preset ubsan -j "$jobs"
   ctest --preset ubsan-tier1
   # The host worker pool (des::parallel_pure) under ThreadSanitizer, driven
-  # from inside DES fibers: des_test, catalyst_test, render_test, the Fig 3
-  # hash pin and the bench-smoke runs carry the parallel label.
+  # from inside DES fibers: des_test, apps_test (Mandelbulb planes on the
+  # pool), catalyst_test, render_test, the Fig 3 hash pin and the
+  # bench-smoke runs carry the parallel label.
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$jobs"
   ctest --preset tsan-parallel

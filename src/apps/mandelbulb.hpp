@@ -25,14 +25,16 @@ struct MandelbulbParams {
 // contoured by the paper's single-isosurface pipeline. Throws
 // std::invalid_argument for an out-of-range id or an edge below 2 points.
 //
+// A block's z-planes are computed over des::parallel_pure, one task each.
 // Inside a running des::Simulation the blocks are memoized process-wide (a
 // bounded memo, keyed on every params field and the id). A block is
 // computed, and timed, on its first two calls; from the third on, a call
-// returns a copy of the result and reports the faster timing through
-// Simulation::replay_host_ns, so an enclosing charge_scoped charges what the
-// block costs to compute. A simulation with a fixed_scoped_charge uses no
-// timing, so in one a single computed call is enough. Outside a simulation
-// every call computes.
+// returns a copy of the result and reports the faster timing -- elapsed time
+// plus the overlap its parallel region replayed, i.e. what the computed call
+// was charged -- through Simulation::replay_host_ns, so an enclosing
+// charge_scoped charges what the block costs to compute on one core. A
+// simulation with a fixed_scoped_charge uses no timing, so in one a single
+// computed call is enough. Outside a simulation every call computes.
 [[nodiscard]] vis::UniformGrid mandelbulb_block(const MandelbulbParams& params,
                                                 std::uint32_t block_id);
 

@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch.
 //
 // Kernels that have a vector path (icet run-length encoding, Gray-Scott
-// stencils) ship both an AVX2 and a scalar implementation and take the AVX2
-// one whenever the CPU has it. The choice never affects results: every vector
+// stencils, the rasterizer's pixel-coverage test) ship both an AVX2 and a
+// scalar implementation and take the AVX2 one whenever the CPU has it. The choice never affects results: every vector
 // path is required to evaluate the exact scalar operation tree per lane (same
 // association order, no FMA contraction -- the AVX2 functions are compiled
 // with target("avx2") only, which cannot emit fused multiply-adds), so images

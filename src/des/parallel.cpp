@@ -147,6 +147,20 @@ Pool& pool() {
   return p;
 }
 
+// The pool starts with the process, before main(). Creating a thread
+// allocates a little from the malloc heap that lives as long as the thread
+// (its TLS vector, its start state); started in the middle of a run, those
+// blocks land among the run's freed memory and split it, so later large
+// allocations grow the heap instead: perfbench elastic-mandelbulb's peak
+// RSS rose 1.2-1.7 MiB (+6%) whether the pool first ran real tasks or
+// empty ones. Started first, they sit below everything a run allocates.
+// Nothing here may start a thread in a timed set-up path either: three
+// thread creations cost about as much as a small deployment's whole set-up.
+[[maybe_unused]] const bool g_pool_started = [] {
+  if (parallel_width() > 1) (void)pool();
+  return true;
+}();
+
 }  // namespace
 
 std::size_t parallel_width() noexcept {

@@ -28,8 +28,8 @@ namespace colza::des {
 
 // Runs fn(0), ..., fn(n - 1), each exactly once, on the calling thread and
 // the pool's helpers; indices are claimed in increasing order, and the call
-// returns once every task has finished. The pool starts on the first call
-// with n > 1.
+// returns once every task has finished. The pool's helpers start with the
+// process, before main(), and idle on a condition variable between calls.
 //
 // fn must be pure host code: it must not touch a Simulation (on a helper
 // Simulation::current() is null), block on a DES primitive, or use

@@ -176,6 +176,11 @@ class Simulation {
   // it measured (a fixed_scoped_charge ignores it, like the measurement).
   // Outside any charge_scoped nothing charges it.
   void replay_host_ns(std::uint64_t ns) noexcept { replayed_ns_ += ns; }
+  // Running total of replay_host_ns: the difference across a piece of work
+  // is what it replayed (a parallel_pure region's overlap included).
+  [[nodiscard]] std::uint64_t replayed_host_ns() const noexcept {
+    return replayed_ns_;
+  }
 
   // ---- main loop ---------------------------------------------------------
   // Runs until no non-daemon work remains. Throws DeadlockError if

@@ -1,11 +1,17 @@
 #include "render/render.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/hash.hpp"
+#include "common/simd.hpp"
 #include "des/parallel.hpp"
 
 namespace colza::render {
@@ -127,7 +133,6 @@ namespace {
 struct ProjectedVertex {
   float x = 0, y = 0;  // screen coordinates
   float z = 0;         // depth in [0,1]
-  float inv_w = 0;
   Vec3 normal;
   float scalar = 0;
   bool ok = false;  // in front of the near plane
@@ -147,10 +152,92 @@ CameraBasis basis_of(const Camera& cam) {
   return b;
 }
 
+// The barycentric weights of up to 8 consecutive pixel centres of one box
+// row, and which of them the triangle covers.
+struct Coverage8 {
+  float w0[8], w1[8], w2[8];
+  unsigned covered = 0;  // bit l: pixel x0 + l
+};
+
+// The coverage test, one pixel centre at a time: the reference for the AVX2
+// path, and the path on CPUs without AVX2.
+void cover8_scalar(const ProjectedVertex& v0, const ProjectedVertex& v1,
+                   const ProjectedVertex& v2, float inv_area, int x0, int y,
+                   int lanes, Coverage8& c) {
+  c.covered = 0;
+  for (int l = 0; l < lanes; ++l) {
+    const float cx = static_cast<float>(x0 + l) + 0.5f;
+    const float cy = static_cast<float>(y) + 0.5f;
+    const float w0 = ((v1.x - cx) * (v2.y - cy) - (v2.x - cx) * (v1.y - cy)) * inv_area;
+    const float w1 = ((v2.x - cx) * (v0.y - cy) - (v0.x - cx) * (v2.y - cy)) * inv_area;
+    const float w2 = 1.0f - w0 - w1;
+    if (w0 < 0 || w1 < 0 || w2 < 0) continue;
+    c.w0[l] = w0;
+    c.w1[l] = w1;
+    c.w2[l] = w2;
+    c.covered |= 1u << l;
+  }
+}
+
+#if defined(__x86_64__)
+// cover8_scalar over 8 lanes per operation. Each lane evaluates the scalar
+// expression tree -- the same differences and products in the same order,
+// w2 = (1 - w0) - w1, and target("avx2") emits no fused multiply-add -- so
+// its weights are bit-identical, and an ordered `< 0` compare lets a NaN
+// weight pass as the scalar test does.
+__attribute__((target("avx2"))) void cover8_avx2(
+    const ProjectedVertex& v0, const ProjectedVertex& v1,
+    const ProjectedVertex& v2, float inv_area, int x0, int y, int lanes,
+    Coverage8& c) {
+  const __m256 cx = _mm256_add_ps(
+      _mm256_cvtepi32_ps(_mm256_add_epi32(
+          _mm256_set1_epi32(x0), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))),
+      _mm256_set1_ps(0.5f));
+  const float cy = static_cast<float>(y) + 0.5f;
+  const __m256 d0x = _mm256_sub_ps(_mm256_set1_ps(v0.x), cx);
+  const __m256 d1x = _mm256_sub_ps(_mm256_set1_ps(v1.x), cx);
+  const __m256 d2x = _mm256_sub_ps(_mm256_set1_ps(v2.x), cx);
+  const __m256 d0y = _mm256_set1_ps(v0.y - cy);
+  const __m256 d1y = _mm256_set1_ps(v1.y - cy);
+  const __m256 d2y = _mm256_set1_ps(v2.y - cy);
+  const __m256 inv = _mm256_set1_ps(inv_area);
+  const __m256 w0 = _mm256_mul_ps(
+      _mm256_sub_ps(_mm256_mul_ps(d1x, d2y), _mm256_mul_ps(d2x, d1y)), inv);
+  const __m256 w1 = _mm256_mul_ps(
+      _mm256_sub_ps(_mm256_mul_ps(d2x, d0y), _mm256_mul_ps(d0x, d2y)), inv);
+  const __m256 w2 = _mm256_sub_ps(_mm256_sub_ps(_mm256_set1_ps(1.0f), w0), w1);
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 outside =
+      _mm256_or_ps(_mm256_or_ps(_mm256_cmp_ps(w0, zero, _CMP_LT_OQ),
+                                _mm256_cmp_ps(w1, zero, _CMP_LT_OQ)),
+                   _mm256_cmp_ps(w2, zero, _CMP_LT_OQ));
+  _mm256_storeu_ps(c.w0, w0);
+  _mm256_storeu_ps(c.w1, w1);
+  _mm256_storeu_ps(c.w2, w2);
+  c.covered = ~static_cast<unsigned>(_mm256_movemask_ps(outside)) &
+              ((1u << lanes) - 1);
+}
+#endif  // __x86_64__
+
+void cover8(bool avx2, const ProjectedVertex& v0, const ProjectedVertex& v1,
+            const ProjectedVertex& v2, float inv_area, int x0, int y,
+            int lanes, Coverage8& c) {
+#if defined(__x86_64__)
+  if (avx2) return cover8_avx2(v0, v1, v2, inv_area, x0, y, lanes, c);
+#endif
+  (void)avx2;
+  cover8_scalar(v0, v1, v2, inv_area, x0, y, lanes, c);
+}
+
 }  // namespace
 
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& cam, const ColorMap& cmap) {
+  detail::rasterize(fb, mesh, cam, cmap, common::simd::avx2());
+}
+
+void detail::rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
+                       const Camera& cam, const ColorMap& cmap, bool avx2) {
   if (fb.width == 0 || fb.height == 0)
     throw std::invalid_argument("rasterize: empty framebuffer");
   const CameraBasis basis = basis_of(cam);
@@ -171,7 +258,6 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     v.y = (0.5f - py * 0.5f) * static_cast<float>(fb.height);
     v.z = std::clamp((zc - cam.near_plane) / (cam.far_plane - cam.near_plane),
                      0.0f, 1.0f);
-    v.inv_w = 1.0f / zc;
     v.normal = idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1};
     v.scalar = idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f;
     // A NaN sample contours to NaN points; nothing may cast them to int.
@@ -179,6 +265,7 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     return v;
   };
 
+  Coverage8 cov{};
   for (std::size_t t = 0; t < mesh.triangle_count(); ++t) {
     const ProjectedVertex v0 = project(mesh.triangles[3 * t]);
     const ProjectedVertex v1 = project(mesh.triangles[3 * t + 1]);
@@ -205,28 +292,30 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     const int ymax = static_cast<int>(fymax);
 
     for (int y = ymin; y <= ymax; ++y) {
-      for (int x = xmin; x <= xmax; ++x) {
-        const float cx = static_cast<float>(x) + 0.5f;
-        const float cy = static_cast<float>(y) + 0.5f;
-        const float w0 = ((v1.x - cx) * (v2.y - cy) - (v2.x - cx) * (v1.y - cy)) * inv_area;
-        const float w1 = ((v2.x - cx) * (v0.y - cy) - (v0.x - cx) * (v2.y - cy)) * inv_area;
-        const float w2 = 1.0f - w0 - w1;
-        if (w0 < 0 || w1 < 0 || w2 < 0) continue;
-        const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
-        const std::size_t p = static_cast<std::size_t>(y) *
-                                  static_cast<std::size_t>(fb.width) +
-                              static_cast<std::size_t>(x);
-        if (z >= fb.depth[p]) continue;
-        const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
-                           .normalized();
-        const float scalar = w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
-        const Vec3 base = cmap.map(scalar);
-        const float shade = 0.25f + 0.75f * std::abs(n.dot(light));
-        fb.depth[p] = z;
-        fb.rgba[p * 4 + 0] = base.x * shade;
-        fb.rgba[p * 4 + 1] = base.y * shade;
-        fb.rgba[p * 4 + 2] = base.z * shade;
-        fb.rgba[p * 4 + 3] = 1.0f;
+      for (int x0 = xmin; x0 <= xmax; x0 += 8) {
+        cover8(avx2, v0, v1, v2, inv_area, x0, y, std::min(8, xmax - x0 + 1),
+               cov);
+        // Covered pixels shade in row-major order, as one at a time.
+        for (unsigned m = cov.covered; m != 0; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          const float w0 = cov.w0[l], w1 = cov.w1[l], w2 = cov.w2[l];
+          const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
+          const std::size_t p = static_cast<std::size_t>(y) *
+                                    static_cast<std::size_t>(fb.width) +
+                                static_cast<std::size_t>(x0 + l);
+          if (z >= fb.depth[p]) continue;
+          const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
+                             .normalized();
+          const float scalar =
+              w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
+          const Vec3 base = cmap.map(scalar);
+          const float shade = 0.25f + 0.75f * std::abs(n.dot(light));
+          fb.depth[p] = z;
+          fb.rgba[p * 4 + 0] = base.x * shade;
+          fb.rgba[p * 4 + 1] = base.y * shade;
+          fb.rgba[p * 4 + 2] = base.z * shade;
+          fb.rgba[p * 4 + 3] = 1.0f;
+        }
       }
     }
   }

@@ -79,9 +79,19 @@ struct FrameBuffer {
 };
 
 // Rasterizes `mesh` into `fb` (additively with z-test; call fb.clear()
-// first for a fresh frame). Scalars are mapped through `cmap`.
+// first for a fresh frame). Scalars are mapped through `cmap`. On a CPU with
+// AVX2 the coverage test runs on 8 pixel centres of a row at a time; the
+// image is the same bit for bit.
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& camera, const ColorMap& cmap);
+
+namespace detail {
+// rasterize() with the coverage path chosen by the caller: 8 pixel centres
+// per AVX2 operation when `avx2` (the CPU must have it), else one at a time.
+// Both must write the same bytes for every input, NaN included.
+void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
+               const Camera& camera, const ColorMap& cmap, bool avx2);
+}  // namespace detail
 
 // Volume-renders point field `field` of `grid` into `fb`. Rows render over
 // des::parallel_pure; every pixel depends on the grid and camera alone, so

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace colza::vis {
 
@@ -54,28 +55,40 @@ void emit_triangle(TriangleMesh& out, const EdgeVertex& a, const EdgeVertex& b,
     out.normals.push_back(v->normal);
     out.scalars.push_back(v->color);
   }
-  out.triangles.insert(out.triangles.end(), {base, base + 1, base + 2});
+  for (std::uint32_t i = 0; i < 3; ++i) out.triangles.push_back(base + i);
 }
 
-// Contours one tetrahedron given its four corners.
-void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
-               float iso) {
+// A cell's edge vertices, each interpolated once: interpolate(a, b) and
+// interpolate(b, a) round differently, so the key is the ordered corner
+// pair. Neighbouring tetrahedra of a cell share its diagonal and face edges.
+struct EdgeCache {
+  std::uint64_t have = 0;  // bit 8a + b: vertex of edge a -> b is in v
+  std::array<EdgeVertex, 64> v;
+};
+
+// Contours tetrahedron `tet` (four corner indices) of a cell.
+void march_tet(TriangleMesh& out, const std::array<Corner, 8>& corners,
+               const std::array<int, 4>& tet, float iso, EdgeCache& cache) {
   int mask = 0;
   for (int i = 0; i < 4; ++i) {
-    if (c[static_cast<std::size_t>(i)]->value > iso) mask |= 1 << i;
+    if (corners[static_cast<std::size_t>(tet[static_cast<std::size_t>(i)])]
+            .value > iso)
+      mask |= 1 << i;
   }
   if (mask == 0 || mask == 15) return;
-  // Normalize to "one or two corners above".
-  bool flipped = false;
-  if (__builtin_popcount(static_cast<unsigned>(mask)) > 2) {
-    mask = ~mask & 15;
-    flipped = true;
-  }
-  (void)flipped;  // winding is irrelevant: normals come from the gradient
+  // Normalize to "one or two corners above"; winding is irrelevant, since
+  // normals come from the gradient.
+  if (__builtin_popcount(static_cast<unsigned>(mask)) > 2) mask = ~mask & 15;
 
-  auto ev = [&](int i, int j) {
-    return interpolate(*c[static_cast<std::size_t>(i)],
-                       *c[static_cast<std::size_t>(j)], iso);
+  auto ev = [&](int i, int j) -> const EdgeVertex& {
+    const auto a = static_cast<unsigned>(tet[static_cast<std::size_t>(i)]);
+    const auto b = static_cast<unsigned>(tet[static_cast<std::size_t>(j)]);
+    const unsigned slot = 8 * a + b;
+    if ((cache.have >> slot & 1u) == 0) {
+      cache.v[slot] = interpolate(corners[a], corners[b], iso);
+      cache.have |= std::uint64_t{1} << slot;
+    }
+    return cache.v[slot];
   };
 
   switch (mask) {
@@ -86,37 +99,37 @@ void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
     case 8: emit_triangle(out, ev(3, 0), ev(3, 1), ev(3, 2)); break;
     // Two corners vs two corners: a quad split into two triangles.
     case 3: {  // {0,1} above
-      const auto a = ev(0, 2), b = ev(0, 3), d = ev(1, 3), e = ev(1, 2);
+      const auto &a = ev(0, 2), &b = ev(0, 3), &d = ev(1, 3), &e = ev(1, 2);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 5: {  // {0,2}
-      const auto a = ev(0, 1), b = ev(0, 3), d = ev(2, 3), e = ev(2, 1);
+      const auto &a = ev(0, 1), &b = ev(0, 3), &d = ev(2, 3), &e = ev(2, 1);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 6: {  // {1,2}
-      const auto a = ev(1, 0), b = ev(1, 3), d = ev(2, 3), e = ev(2, 0);
+      const auto &a = ev(1, 0), &b = ev(1, 3), &d = ev(2, 3), &e = ev(2, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 9: {  // {0,3}
-      const auto a = ev(0, 1), b = ev(0, 2), d = ev(3, 2), e = ev(3, 1);
+      const auto &a = ev(0, 1), &b = ev(0, 2), &d = ev(3, 2), &e = ev(3, 1);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 10: {  // {1,3}
-      const auto a = ev(1, 0), b = ev(1, 2), d = ev(3, 2), e = ev(3, 0);
+      const auto &a = ev(1, 0), &b = ev(1, 2), &d = ev(3, 2), &e = ev(3, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 12: {  // {2,3}
-      const auto a = ev(2, 0), b = ev(2, 1), d = ev(3, 1), e = ev(3, 0);
+      const auto &a = ev(2, 0), &b = ev(2, 1), &d = ev(3, 1), &e = ev(3, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
@@ -152,6 +165,7 @@ void isosurface_layers(const UniformGrid& grid, const std::string& field,
   const auto [nx, ny, nz] = grid.dims;
   if (nx < 2 || ny < 2 || nz < 2) return;
   k_end = std::min(k_end, nz - 1);
+  if (k_begin >= k_end) return;
 
   // Gradient of the field at a grid point, by central differences (one-sided
   // at the boundary), in world units.
@@ -181,42 +195,61 @@ void isosurface_layers(const UniformGrid& grid, const std::string& field,
     return g;
   };
 
+  // Neighbouring straddling cells share corners: each point's gradient is
+  // computed once, on first use, into a cache over the layer's two point
+  // planes. Moving up a layer, the upper plane becomes the lower one.
+  const std::size_t plane = static_cast<std::size_t>(nx) * ny;
+  std::vector<Vec3> grads(2 * plane);
+  std::vector<std::uint8_t> have(2 * plane, 0);
+  std::size_t lower = 0;  // offset of plane k's half; the other holds k + 1
+
+  // Corner b of a cell (bit0 -> +i, bit1 -> +j, bit2 -> +k) lies this far
+  // from corner 0 in the field.
+  std::array<std::size_t, 8> offset{};
+  for (std::size_t b = 0; b < 8; ++b)
+    offset[b] = (b & 1u) + ((b >> 1) & 1u) * nx + ((b >> 2) & 1u) * plane;
+
   std::array<Corner, 8> corners;
+  EdgeCache edges;
   for (std::uint32_t k = k_begin; k < k_end; ++k) {
+    if (k != k_begin) {
+      // Plane k was the upper plane; plane k + 1 starts with no gradients.
+      lower = plane - lower;
+      std::fill_n(have.begin() + static_cast<std::ptrdiff_t>(plane - lower),
+                  plane, std::uint8_t{0});
+    }
     for (std::uint32_t j = 0; j + 1 < ny; ++j) {
       for (std::uint32_t i = 0; i + 1 < nx; ++i) {
         // Quick reject: all corner values on one side of the isovalue.
+        const std::size_t base = grid.point_index(i, j, k);
         bool any_above = false, any_below = false;
-        for (int b = 0; b < 8; ++b) {
-          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
-          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
-          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
-          const float v = values[grid.point_index(ci, cj, ck)];
+        for (std::size_t b = 0; b < 8; ++b) {
+          const float v = values[base + offset[b]];
           any_above |= v > isovalue;
           any_below |= v <= isovalue;
-          auto& corner = corners[static_cast<std::size_t>(b)];
-          corner.value = v;
-          corner.pos = grid.point(ci, cj, ck);
+          corners[b].value = v;
         }
         if (!any_above || !any_below) continue;
-        for (int b = 0; b < 8; ++b) {
-          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
-          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
-          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
-          auto& corner = corners[static_cast<std::size_t>(b)];
-          corner.gradient = gradient(ci, cj, ck);
-          corner.color = colors.empty()
-                             ? corner.value
-                             : colors[grid.point_index(ci, cj, ck)];
+        for (std::size_t b = 0; b < 8; ++b) {
+          const std::uint32_t ci = i + static_cast<std::uint32_t>(b & 1u);
+          const std::uint32_t cj = j + static_cast<std::uint32_t>((b >> 1) & 1u);
+          const std::uint32_t ck = k + static_cast<std::uint32_t>((b >> 2) & 1u);
+          auto& corner = corners[b];
+          corner.pos = grid.point(ci, cj, ck);
+          const std::size_t slot =
+              (ck == k ? lower : plane - lower) +
+              static_cast<std::size_t>(cj) * nx + ci;
+          if (have[slot] == 0) {
+            grads[slot] = gradient(ci, cj, ck);
+            have[slot] = 1;
+          }
+          corner.gradient = grads[slot];
+          corner.color =
+              colors.empty() ? corner.value : colors[base + offset[b]];
         }
-        for (const auto& tet : kTets) {
-          march_tet(out,
-                    {&corners[static_cast<std::size_t>(tet[0])],
-                     &corners[static_cast<std::size_t>(tet[1])],
-                     &corners[static_cast<std::size_t>(tet[2])],
-                     &corners[static_cast<std::size_t>(tet[3])]},
-                    isovalue);
-        }
+        edges.have = 0;
+        for (const auto& tet : kTets)
+          march_tet(out, corners, tet, isovalue, edges);
       }
     }
   }

@@ -5,6 +5,7 @@
 // validity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "apps/stencil_simd.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "des/parallel.hpp"
 #include "des/simulation.hpp"
 #include "mona/mona.hpp"
 #include "net/network.hpp"
@@ -551,6 +553,90 @@ TEST(Mandelbulb, FixedChargeCompletesAnEntryInOneRun) {
   EXPECT_LT(fixed_repeat, computed / 4) << "fixed charge: second call hits";
   EXPECT_GT(wall_first, computed / 4) << "wall clock: second run is timed";
   EXPECT_LT(wall_repeat, computed / 4) << "wall clock: third call hits";
+}
+
+// The pre-change body of compute_block, kept as the reference: one thread,
+// plane after plane.
+std::vector<float> serial_field(const MandelbulbParams& p,
+                                const vis::UniformGrid& g) {
+  std::vector<float> field(g.point_count());
+  std::size_t idx = 0;
+  for (std::uint32_t k = 0; k < p.nz; ++k) {
+    const float pz = g.origin.z + g.spacing.z * static_cast<float>(k);
+    for (std::uint32_t j = 0; j < p.ny; ++j) {
+      const float py = g.origin.y + g.spacing.y * static_cast<float>(j);
+      for (std::uint32_t i = 0; i < p.nx; ++i, ++idx) {
+        const float px = g.origin.x + g.spacing.x * static_cast<float>(i);
+        field[idx] = static_cast<float>(
+            mandelbulb_escape(px, py, pz, p.power, p.max_iterations));
+      }
+    }
+  }
+  return field;
+}
+
+// The z-planes fill over des::parallel_pure, one task each; the field is the
+// serial loop's byte for byte with two planes, with fewer planes than the
+// pool has threads, and with more.
+TEST(Mandelbulb, ParallelFieldMatchesSerialLoop) {
+  const auto width = static_cast<std::uint32_t>(des::parallel_width());
+  for (const std::uint32_t nz :
+       {2u, std::max(2u, width - 1), width + 1, 4 * width + 3}) {
+    MandelbulbParams p;
+    p.nx = 13;
+    p.ny = 11;
+    p.nz = nz;
+    p.total_blocks = 3;
+    for (const std::uint32_t id : {0u, 1u, 2u}) {
+      const vis::UniformGrid g = mandelbulb_block(p, id);
+      const std::vector<float> want = serial_field(p, g);
+      const auto got = g.point_data.find("iterations")->as<float>();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "nz " << nz << ", block " << id;
+    }
+  }
+}
+
+// A miss runs its planes over the pool, and the enclosing charge_scoped
+// charges its elapsed time plus the overlap the region replays: its serial
+// cost. A hit must replay that, not the elapsed time alone. The memo keeps
+// the faster miss's elapsed + overlap, so a hit replays more than either
+// miss's overlap. Elapsed alone is less wherever a miss ran at least twice
+// as fast as one thread (its overlap then exceeds half its charge), so the
+// check waits for two such misses: a busy host may run the planes one after
+// another.
+TEST(Mandelbulb, MemoHitChargesWhatTheParallelMissCharged) {
+  if (des::parallel_width() < 2) GTEST_SKIP() << "no helper threads";
+  for (std::uint32_t attempt = 0; attempt < 8; ++attempt) {
+    MandelbulbParams p;
+    p.nx = p.ny = 24;
+    p.nz = 40 + attempt;  // memo keys no other test uses
+    p.total_blocks = 2;
+    std::vector<des::Duration> charged;
+    std::vector<std::uint64_t> replayed;
+    in_simulation([&] {
+      des::Simulation& sim = *des::Simulation::current();
+      for (int call = 1; call <= kFirstMemoizedCall; ++call) {
+        const des::Time t0 = sim.now();
+        const std::uint64_t r0 = sim.replayed_host_ns();
+        sim.charge_scoped([&] { (void)mandelbulb_block(p, 1); });
+        charged.push_back(sim.now() - t0);
+        replayed.push_back(sim.replayed_host_ns() - r0);
+      }
+    });
+    ASSERT_EQ(replayed.size(), 3u);
+    if (replayed[0] <= charged[0] / 2 || replayed[1] <= charged[1] / 2)
+      continue;
+    EXPECT_GT(replayed[2], std::min(replayed[0], replayed[1]))
+        << "misses charged " << charged[0] << " and " << charged[1]
+        << " ns, replaying " << replayed[0] << " and " << replayed[1]
+        << " ns of overlap; the hit replayed " << replayed[2] << " ns";
+    return;
+  }
+  GTEST_SKIP() << "no two misses ran twice as fast as one thread";
 }
 
 // --------------------------------------------------------------- DWI proxy

@@ -2,10 +2,16 @@
 // rasterization, and volume raycasting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "render/render.hpp"
 #include "vis/filters.hpp"
 
@@ -169,6 +175,186 @@ TEST(Rasterize, NonFiniteVerticesAreSkipped) {
   EXPECT_GT(active_pixels(want), 0);
   EXPECT_EQ(got.rgba, want.rgba);
   EXPECT_EQ(got.depth, want.depth);
+}
+
+// ---- AVX2 coverage vs the scalar test
+//
+// The test camera looks down -z from (0, 0, 4): its basis is exact, so a
+// point (x, y, 0) projects with view depth exactly 4 and these two
+// functions are the rasterizer's projection.
+constexpr int kCoverW = 64, kCoverH = 48;
+
+Camera cover_camera() {
+  Camera cam;
+  cam.eye = {0, 0, 4};
+  cam.target = {0, 0, 0};
+  return cam;
+}
+
+float screen_x(float x) {
+  const float t = std::tan(45.0f * 0.5f * 3.14159265f / 180.0f);
+  const float aspect =
+      static_cast<float>(kCoverW) / static_cast<float>(kCoverH);
+  const float px = x / (4.0f * t * aspect);
+  return (px * 0.5f + 0.5f) * static_cast<float>(kCoverW);
+}
+
+float screen_y(float y) {
+  const float t = std::tan(45.0f * 0.5f * 3.14159265f / 180.0f);
+  const float py = y / (4.0f * t);
+  return (0.5f - py * 0.5f) * static_cast<float>(kCoverH);
+}
+
+// The world coordinate whose projection is exactly `target`, found by
+// bisection over the floats (the projection is monotone and steps finer
+// than the screen's ulp); NaN when no float lands on it.
+float world_for(float target, float (*project)(float), float lo, float hi) {
+  const bool rising = project(hi) > project(lo);
+  for (int i = 0; i < 200 && std::nextafter(lo, hi) != hi; ++i) {
+    const float mid = lo + (hi - lo) * 0.5f;
+    if ((project(mid) < target) == rising) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  if (project(lo) == target) return lo;
+  if (project(hi) == target) return hi;
+  return std::numeric_limits<float>::quiet_NaN();
+}
+
+// A world point near screen position (sx, sy) at depth z.
+Vec3 near_screen(float sx, float sy, float z) {
+  const float t = std::tan(45.0f * 0.5f * 3.14159265f / 180.0f);
+  const float aspect =
+      static_cast<float>(kCoverW) / static_cast<float>(kCoverH);
+  const float zc = 4.0f - z;
+  return {(sx / kCoverW - 0.5f) * 2.0f * zc * t * aspect,
+          (0.5f - sy / kCoverH) * 2.0f * zc * t, z};
+}
+
+// The AVX2 coverage path writes the scalar path's rgba and depth bytes:
+// boxes 1-20 px wide, both windings, vertices exactly on pixel centres
+// (weights exactly 0) and edges along a centre row or column, slivers,
+// boxes clamped at every screen edge, NaN weights, NaN normals and scalars.
+TEST(Rasterize, Avx2CoverageMatchesScalar) {
+  if (!common::simd::avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(7);
+  auto uni = [&](double lo, double hi) {
+    return static_cast<float>(rng.uniform(lo, hi));
+  };
+  // Exact pixel centres, as world points on the z = 0 plane.
+  auto centre = [&](int px, int py) {
+    return Vec3{world_for(static_cast<float>(px) + 0.5f, screen_x, -8, 8),
+                world_for(static_cast<float>(py) + 0.5f, screen_y, -8, 8),
+                0.0f};
+  };
+  int exact = 0;
+  for (int px = 0; px < kCoverW; ++px)
+    exact += std::isnan(centre(px, 5).x) ? 0 : 1;
+  EXPECT_GT(exact, kCoverW / 2) << "few pixel centres are reachable";
+
+  std::vector<vis::TriangleMesh> meshes(8);
+  for (std::size_t m = 0; m < meshes.size(); ++m) {
+    vis::TriangleMesh& mesh = meshes[m];
+    auto add = [&](Vec3 a, Vec3 b, Vec3 c) {
+      if (rng.below(2) == 1) std::swap(b, c);  // the other winding
+      for (const Vec3& p : {a, b, c}) {
+        const auto idx = static_cast<std::uint32_t>(mesh.points.size());
+        mesh.points.push_back(p);
+        mesh.normals.push_back(rng.below(16) == 0
+                                   ? Vec3{nan, 0, 1}
+                                   : Vec3{uni(-1, 1), uni(-1, 1), 1.0f});
+        mesh.scalars.push_back(rng.below(16) == 0 ? nan : uni(0, 1));
+        mesh.triangles.push_back(idx);
+      }
+    };
+    for (int t = 0; t < 300; ++t) {
+      const float w = uni(1, 20);  // box width in pixels
+      const float x = uni(-10, kCoverW + 10), y = uni(-10, kCoverH + 10);
+      switch (rng.below(5)) {
+        case 0:  // free triangle at random depths
+          add(near_screen(x, y, uni(-1, 1)),
+              near_screen(x + w, y + uni(-w, w), uni(-1, 1)),
+              near_screen(x + uni(0, w), y + uni(1, 20), uni(-1, 1)));
+          break;
+        case 1: {  // every vertex on a pixel centre
+          const int cx = static_cast<int>(rng.below(kCoverW));
+          const int cy = static_cast<int>(rng.below(kCoverH));
+          const int dx = 1 + static_cast<int>(rng.below(19));
+          add(centre(cx, cy), centre(std::min(cx + dx, kCoverW - 1), cy),
+              centre(cx + static_cast<int>(rng.below(3)),
+                     std::min(cy + dx, kCoverH - 1)));
+          break;
+        }
+        case 2: {  // one vertex on a pixel centre
+          const int cx = static_cast<int>(rng.below(kCoverW));
+          const int cy = static_cast<int>(rng.below(kCoverH));
+          const Vec3 c = centre(cx, cy);
+          const float sx = static_cast<float>(cx), sy = static_cast<float>(cy);
+          add(c, near_screen(sx + w, sy + uni(-3, 3), 0.3f),
+              near_screen(sx + uni(-w, w), sy - uni(1, 20), -0.3f));
+          break;
+        }
+        case 3: {  // a sliver: the third vertex almost on the first edge
+          const Vec3 a = near_screen(x, y, 0.2f);
+          const Vec3 b = near_screen(x + w, y + w * 0.5f, -0.2f);
+          const float s = uni(0, 1);
+          Vec3 c = a + (b - a) * s;
+          c.y += uni(-1e-4, 1e-4);
+          add(a, b, c);
+          break;
+        }
+        default: {  // straddles a screen edge: a clamped box
+          const float ex = rng.below(2) == 0 ? uni(-25, 2) : uni(kCoverW - 2, kCoverW + 25);
+          const float ey = rng.below(2) == 0 ? uni(-25, 2) : uni(kCoverH - 2, kCoverH + 25);
+          add(near_screen(ex, ey, 0.0f), near_screen(x, y, 0.5f),
+              near_screen(x + w, y + uni(-w, w), -0.5f));
+          break;
+        }
+      }
+    }
+  }
+  // A vertex so far off screen that the area's products overflow: the area
+  // and every weight are NaN, so each pixel of the clamped box passes.
+  for (float far : {1e21f, -3e21f}) {
+    vis::TriangleMesh mesh;
+    mesh.points = {near_screen(far, far, 0.0f), near_screen(20, 10, 0.5f),
+                   near_screen(30, 25, -0.5f)};
+    mesh.normals = {{0, 0, 1}, {0, 1, 1}, {1, 0, 1}};
+    mesh.scalars = {0.1f, 0.5f, 0.9f};
+    mesh.triangles = {0, 1, 2};
+    meshes.push_back(mesh);
+  }
+  const Camera cam = cover_camera();
+  for (const ColorMap cmap : {ColorMap{ColorMapKind::viridis, 0, 1},
+                              ColorMap{ColorMapKind::cool_warm, 0.2f, 0.7f}}) {
+    FrameBuffer all_scalar(kCoverW, kCoverH), all_avx2(kCoverW, kCoverH);
+    for (std::size_t m = 0; m < meshes.size(); ++m) {
+      FrameBuffer scalar(kCoverW, kCoverH), avx2(kCoverW, kCoverH);
+      detail::rasterize(scalar, meshes[m], cam, cmap, false);
+      detail::rasterize(avx2, meshes[m], cam, cmap, true);
+      EXPECT_GT(active_pixels(scalar), 0);
+      EXPECT_EQ(std::memcmp(avx2.rgba.data(), scalar.rgba.data(),
+                            scalar.rgba.size() * sizeof(float)),
+                0)
+          << "mesh " << m << ": rgba";
+      EXPECT_EQ(std::memcmp(avx2.depth.data(), scalar.depth.data(),
+                            scalar.depth.size() * sizeof(float)),
+                0)
+          << "mesh " << m << ": depth";
+      // Overlapping meshes: the depth test sees the other path's writes.
+      detail::rasterize(all_scalar, meshes[m], cam, cmap, false);
+      detail::rasterize(all_avx2, meshes[m], cam, cmap, true);
+    }
+    EXPECT_EQ(std::memcmp(all_avx2.rgba.data(), all_scalar.rgba.data(),
+                          all_scalar.rgba.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(all_avx2.depth.data(), all_scalar.depth.data(),
+                          all_scalar.depth.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(Rasterize, IsosurfaceSphereLooksRound) {

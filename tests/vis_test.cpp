@@ -3,11 +3,20 @@
 // merging, and resampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/gray_scott.hpp"
+#include "apps/mandelbulb.hpp"
 #include "vis/data.hpp"
 #include "vis/filters.hpp"
 #include "vis/vtk_writer.hpp"
@@ -191,6 +200,346 @@ TEST(Isosurface, ColorFieldInterpolated) {
 TEST(Isosurface, MissingFieldThrows) {
   UniformGrid g = sphere_grid(5, {2, 2, 2});
   EXPECT_THROW(isosurface(g, "nope", 1.0f), std::runtime_error);
+}
+
+// ---------------------------------------------- contour vs its pre-change form
+
+// The pre-change marching tetrahedra, kept as the reference: every cell's
+// corner positions computed before the straddle test, and eight gradients
+// per straddling cell, neighbours' shared corners included.
+namespace reference {
+
+// Cube corner b: bit0 -> +i, bit1 -> +j, bit2 -> +k.
+// Six tetrahedra sharing the main diagonal corner0 -- corner7; the ring
+// 1,3,2,6,4,5 walks around that diagonal so consecutive entries share a face.
+constexpr std::array<std::array<int, 4>, 6> kTets{{{0, 1, 3, 7},
+                                                   {0, 3, 2, 7},
+                                                   {0, 2, 6, 7},
+                                                   {0, 6, 4, 7},
+                                                   {0, 4, 5, 7},
+                                                   {0, 5, 1, 7}}};
+
+struct Corner {
+  Vec3 pos;
+  Vec3 gradient;
+  float value = 0;
+  float color = 0;
+};
+
+struct EdgeVertex {
+  Vec3 pos;
+  Vec3 normal;
+  float color = 0;
+};
+
+EdgeVertex interpolate(const Corner& a, const Corner& b, float iso) {
+  const float denom = b.value - a.value;
+  const float t =
+      denom != 0 ? std::clamp((iso - a.value) / denom, 0.0f, 1.0f) : 0.5f;
+  EdgeVertex v;
+  v.pos = lerp(a.pos, b.pos, t);
+  v.normal = lerp(a.gradient, b.gradient, t).normalized();
+  v.color = a.color + (b.color - a.color) * t;
+  return v;
+}
+
+void emit_triangle(TriangleMesh& out, const EdgeVertex& a, const EdgeVertex& b,
+                   const EdgeVertex& c) {
+  const auto base = static_cast<std::uint32_t>(out.points.size());
+  for (const EdgeVertex* v : {&a, &b, &c}) {
+    out.points.push_back(v->pos);
+    out.normals.push_back(v->normal);
+    out.scalars.push_back(v->color);
+  }
+  out.triangles.insert(out.triangles.end(), {base, base + 1, base + 2});
+}
+
+// Contours one tetrahedron given its four corners.
+void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
+               float iso) {
+  int mask = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (c[static_cast<std::size_t>(i)]->value > iso) mask |= 1 << i;
+  }
+  if (mask == 0 || mask == 15) return;
+  // Normalize to "one or two corners above".
+  bool flipped = false;
+  if (__builtin_popcount(static_cast<unsigned>(mask)) > 2) {
+    mask = ~mask & 15;
+    flipped = true;
+  }
+  (void)flipped;  // winding is irrelevant: normals come from the gradient
+
+  auto ev = [&](int i, int j) {
+    return interpolate(*c[static_cast<std::size_t>(i)],
+                       *c[static_cast<std::size_t>(j)], iso);
+  };
+
+  switch (mask) {
+    // One corner isolated: one triangle on the three edges leaving it.
+    case 1: emit_triangle(out, ev(0, 1), ev(0, 2), ev(0, 3)); break;
+    case 2: emit_triangle(out, ev(1, 0), ev(1, 2), ev(1, 3)); break;
+    case 4: emit_triangle(out, ev(2, 0), ev(2, 1), ev(2, 3)); break;
+    case 8: emit_triangle(out, ev(3, 0), ev(3, 1), ev(3, 2)); break;
+    // Two corners vs two corners: a quad split into two triangles.
+    case 3: {  // {0,1} above
+      const auto a = ev(0, 2), b = ev(0, 3), d = ev(1, 3), e = ev(1, 2);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 5: {  // {0,2}
+      const auto a = ev(0, 1), b = ev(0, 3), d = ev(2, 3), e = ev(2, 1);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 6: {  // {1,2}
+      const auto a = ev(1, 0), b = ev(1, 3), d = ev(2, 3), e = ev(2, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 9: {  // {0,3}
+      const auto a = ev(0, 1), b = ev(0, 2), d = ev(3, 2), e = ev(3, 1);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 10: {  // {1,3}
+      const auto a = ev(1, 0), b = ev(1, 2), d = ev(3, 2), e = ev(3, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 12: {  // {2,3}
+      const auto a = ev(2, 0), b = ev(2, 1), d = ev(3, 1), e = ev(3, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    default: throw std::logic_error("march_tet: unreachable case");
+  }
+}
+
+
+void reference_layers(const UniformGrid& grid, const std::string& field,
+                       float isovalue, const std::string& color_field,
+                       std::uint32_t k_begin, std::uint32_t k_end,
+                       TriangleMesh& out) {
+  const DataArray* arr = grid.point_data.find(field);
+  if (arr == nullptr)
+    throw std::runtime_error("isosurface: no point field '" + field + "'");
+  const auto values = arr->as<float>();
+  if (values.size() != grid.point_count())
+    throw std::runtime_error("isosurface: field size != point count");
+  const DataArray* color_arr =
+      color_field.empty() ? nullptr : grid.point_data.find(color_field);
+  std::span<const float> colors;
+  if (color_arr != nullptr) colors = color_arr->as<float>();
+
+  const auto [nx, ny, nz] = grid.dims;
+  if (nx < 2 || ny < 2 || nz < 2) return;
+  k_end = std::min(k_end, nz - 1);
+
+  // Gradient of the field at a grid point, by central differences (one-sided
+  // at the boundary), in world units.
+  auto gradient = [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    auto sample = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+      return values[grid.point_index(a, b, c)];
+    };
+    Vec3 g;
+    {
+      const std::uint32_t i0 = i > 0 ? i - 1 : i;
+      const std::uint32_t i1 = i + 1 < nx ? i + 1 : i;
+      g.x = (sample(i1, j, k) - sample(i0, j, k)) /
+            (grid.spacing.x * static_cast<float>(i1 - i0 == 0 ? 1 : i1 - i0));
+    }
+    {
+      const std::uint32_t j0 = j > 0 ? j - 1 : j;
+      const std::uint32_t j1 = j + 1 < ny ? j + 1 : j;
+      g.y = (sample(i, j1, k) - sample(i, j0, k)) /
+            (grid.spacing.y * static_cast<float>(j1 - j0 == 0 ? 1 : j1 - j0));
+    }
+    {
+      const std::uint32_t k0 = k > 0 ? k - 1 : k;
+      const std::uint32_t k1 = k + 1 < nz ? k + 1 : k;
+      g.z = (sample(i, j, k1) - sample(i, j, k0)) /
+            (grid.spacing.z * static_cast<float>(k1 - k0 == 0 ? 1 : k1 - k0));
+    }
+    return g;
+  };
+
+  std::array<Corner, 8> corners;
+  for (std::uint32_t k = k_begin; k < k_end; ++k) {
+    for (std::uint32_t j = 0; j + 1 < ny; ++j) {
+      for (std::uint32_t i = 0; i + 1 < nx; ++i) {
+        // Quick reject: all corner values on one side of the isovalue.
+        bool any_above = false, any_below = false;
+        for (int b = 0; b < 8; ++b) {
+          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
+          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
+          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
+          const float v = values[grid.point_index(ci, cj, ck)];
+          any_above |= v > isovalue;
+          any_below |= v <= isovalue;
+          auto& corner = corners[static_cast<std::size_t>(b)];
+          corner.value = v;
+          corner.pos = grid.point(ci, cj, ck);
+        }
+        if (!any_above || !any_below) continue;
+        for (int b = 0; b < 8; ++b) {
+          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
+          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
+          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
+          auto& corner = corners[static_cast<std::size_t>(b)];
+          corner.gradient = gradient(ci, cj, ck);
+          corner.color = colors.empty()
+                             ? corner.value
+                             : colors[grid.point_index(ci, cj, ck)];
+        }
+        for (const auto& tet : kTets) {
+          march_tet(out,
+                    {&corners[static_cast<std::size_t>(tet[0])],
+                     &corners[static_cast<std::size_t>(tet[1])],
+                     &corners[static_cast<std::size_t>(tet[2])],
+                     &corners[static_cast<std::size_t>(tet[3])]},
+                    isovalue);
+        }
+      }
+    }
+  }
+}
+
+
+// slice() through the reference contour.
+TriangleMesh reference_slice(const UniformGrid& grid, const std::string& field,
+                             Vec3 origin, Vec3 normal) {
+  const Vec3 n = normal.normalized();
+  UniformGrid tmp = grid;
+  std::vector<float> dist(grid.point_count());
+  for (std::uint32_t k = 0; k < grid.dims[2]; ++k)
+    for (std::uint32_t j = 0; j < grid.dims[1]; ++j)
+      for (std::uint32_t i = 0; i < grid.dims[0]; ++i)
+        dist[grid.point_index(i, j, k)] = (grid.point(i, j, k) - origin).dot(n);
+  tmp.point_data.add(DataArray::make<float>("__plane_dist", dist));
+  TriangleMesh out;
+  reference_layers(tmp, "__plane_dist", 0.0f, field, 0, tmp.dims[2], out);
+  return out;
+}
+
+}  // namespace reference
+
+bool same_mesh(const TriangleMesh& a, const TriangleMesh& b) {
+  auto same = [](const auto& x, const auto& y) {
+    // memcmp's pointers must not be null, even for zero bytes.
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(),
+                                     x.size() * sizeof(*x.data())) == 0);
+  };
+  return same(a.points, b.points) && same(a.normals, b.normals) &&
+         same(a.scalars, b.scalars) && same(a.triangles, b.triangles);
+}
+
+// Contours `field` at `iso` both ways -- the whole grid, one cell layer per
+// call as the catalyst pipeline does, and in uneven layer ranges -- and
+// expects the reference's bytes each time; with `clip`, after clipping too.
+void expect_same_contours(const UniformGrid& g, const std::string& field,
+                          float iso, const std::string& color,
+                          const char* what, bool clip = false) {
+  const std::uint32_t layers = std::max<std::uint32_t>(g.dims[2], 2) - 1;
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
+      {0, g.dims[2]}, {0, 1}, {1, 4}, {layers / 2, layers}, {2, 3}};
+  const Vec3 clip_origin = g.bounds().center();
+  const Vec3 clip_normal{0.2f, 0.3f, 1.0f};
+  for (const auto& [k0, k1] : ranges) {
+    TriangleMesh want, got;
+    reference::reference_layers(g, field, iso, color, k0, k1, want);
+    isosurface_layers(g, field, iso, color, k0, k1, got);
+    EXPECT_TRUE(same_mesh(got, want))
+        << what << ", iso " << iso << ", layers " << k0 << "-" << k1;
+    if (clip) {
+      EXPECT_TRUE(same_mesh(clip_by_plane(got, clip_origin, clip_normal),
+                            clip_by_plane(want, clip_origin, clip_normal)))
+          << what << " clipped, iso " << iso << ", layers " << k0 << "-" << k1;
+    }
+  }
+  for (std::uint32_t k = 0; k < layers; ++k) {
+    TriangleMesh want, got;
+    reference::reference_layers(g, field, iso, color, k, k + 1, want);
+    isosurface_layers(g, field, iso, color, k, k + 1, got);
+    EXPECT_TRUE(same_mesh(got, want))
+        << what << ", iso " << iso << ", layer " << k;
+  }
+  TriangleMesh whole;
+  reference::reference_layers(g, field, iso, color, 0, g.dims[2], whole);
+  EXPECT_GT(whole.triangle_count(), 0u) << what << ", iso " << iso;
+  EXPECT_TRUE(same_mesh(isosurface(g, field, iso, color), whole))
+      << what << ", iso " << iso;
+}
+
+// The contour computes corner positions only for straddling cells and each
+// point's gradient once per call; it emits the reference's points, normals,
+// scalars and triangles byte for byte: on the Mandelbulb field, Gray-Scott
+// levels with clipping, slices, and grids with NaN samples.
+TEST(Isosurface, LeanerContourMatchesThePreChangeContour) {
+  apps::MandelbulbParams mb;
+  mb.nx = 16;
+  mb.ny = 14;
+  mb.nz = 12;
+  mb.total_blocks = 4;
+  for (const std::uint32_t id : {1u, 2u}) {
+    const UniformGrid g = apps::mandelbulb_block(mb, id);
+    expect_same_contours(g, "iterations", 6.0f, "iterations", "mandelbulb");
+    expect_same_contours(g, "iterations", 6.0f, "", "mandelbulb uncolored");
+  }
+
+  apps::GrayScott::Params gp;
+  gp.n = 20;
+  gp.steps_per_iteration = 40;
+  apps::GrayScott gs(gp, 0, 1);
+  ASSERT_TRUE(gs.step(nullptr).ok());
+  const UniformGrid gray = gs.block();
+  for (const float level : {0.15f, 0.3f, 0.45f})
+    expect_same_contours(gray, "v", level, "", "gray-scott", /*clip=*/true);
+  {
+    // Gray-Scott's levels cross only a little of its field early on; a
+    // field over its whole range crosses all three everywhere.
+    UniformGrid waves = gray;
+    auto v = waves.point_data.find("v")->as_mutable<float>();
+    for (std::uint32_t k = 0; k < waves.dims[2]; ++k)
+      for (std::uint32_t j = 0; j < waves.dims[1]; ++j)
+        for (std::uint32_t i = 0; i < waves.dims[0]; ++i) {
+          const Vec3 p = waves.point(i, j, k);
+          v[waves.point_index(i, j, k)] =
+              0.25f + 0.25f * std::sin(0.7f * p.x) * std::cos(0.5f * p.y + 0.3f * p.z);
+        }
+    for (const float level : {0.15f, 0.3f, 0.45f})
+      expect_same_contours(waves, "v", level, "u", "waves", /*clip=*/true);
+
+    for (const Vec3 normal :
+         {Vec3{1.0f, 0.3f, 0.2f}, Vec3{0, 0, 1}, Vec3{0.5f, -1, 0.25f}}) {
+      const Vec3 origin = waves.bounds().center();
+      const TriangleMesh want =
+          reference::reference_slice(waves, "v", origin, normal);
+      EXPECT_GT(want.triangle_count(), 0u);
+      EXPECT_TRUE(same_mesh(slice(waves, "v", origin, normal), want))
+          << "slice";
+    }
+
+    // NaN samples: a scattered few, and a whole row, next to the contour.
+    UniformGrid holes = waves;
+    auto hv = holes.point_data.find("v")->as_mutable<float>();
+    auto hu = holes.point_data.find("u")->as_mutable<float>();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t p = 7; p < hv.size(); p += 97) hv[p] = nan;
+    for (std::uint32_t i = 0; i < holes.dims[0]; ++i)
+      hv[holes.point_index(i, 5, 6)] = nan;
+    for (std::size_t p = 3; p < hu.size(); p += 53) hu[p] = nan;
+    for (const float level : {0.15f, 0.3f, 0.45f})
+      expect_same_contours(holes, "v", level, "u", "NaN samples",
+                           /*clip=*/true);
+  }
 }
 
 // ------------------------------------------------------------------ clip
