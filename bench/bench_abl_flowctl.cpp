@@ -14,9 +14,16 @@
 // Reported per pipeline: achieved staging bandwidth over a fixed virtual
 // window, p99 stage() latency (credit wait + transfer), client Busy retries,
 // and the server's peak concurrently-staged bytes. Also emits BENCH_flow.json
-// (path = argv[1], default ./BENCH_flow.json).
+// (path = the PATH argument, default ./BENCH_flow.json), opened before any
+// case runs so an unwritable path fails at once.
+//
+// `--smoke PATH` runs the same three cases over a short warm-up and window
+// (the tier-1 bench-smoke test, which writes PATH into the build tree); the
+// 3:1 share gate still applies. It needs an explicit PATH so a smoke run
+// never overwrites the checked-in full-size BENCH_flow.json.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,8 +48,14 @@ using namespace colza::bench;
 // (not the NIC) decides who makes progress and the weight ratio is the whole
 // story.
 constexpr std::uint64_t kBlockBytes = 2ull << 20;
-constexpr int kWarmupMs = 500;
-constexpr int kWindowSec = 5;
+
+// Virtual warm-up before, and length of, the measurement window of a case.
+struct Size {
+  int warmup_ms;
+  int window_ms;
+};
+constexpr Size kFull{500, 5000};
+constexpr Size kSmoke{10, 30};
 
 class SinkBackend final : public Backend {
  public:
@@ -56,12 +69,13 @@ class SinkBackend final : public Backend {
 COLZA_REGISTER_BACKEND("flow-bench-sink", SinkBackend)
 
 struct TenantStats {
+  double window_s = 0;      // length of the measurement window
   std::uint64_t bytes = 0;  // staged bytes completing inside the window
   std::uint64_t iterations = 0;
   std::vector<double> stage_ms;  // per-stage latency samples in the window
 
   [[nodiscard]] double mbps() const {
-    return static_cast<double>(bytes) / 1e6 / kWindowSec;
+    return static_cast<double>(bytes) / 1e6 / window_s;
   }
   [[nodiscard]] double p99_ms() const {
     if (stage_ms.empty()) return 0.0;
@@ -82,7 +96,7 @@ struct CaseResult {
   }
 };
 
-CaseResult run_case(bool flow_on, std::uint32_t weight_a,
+CaseResult run_case(const Size& size, bool flow_on, std::uint32_t weight_a,
                     std::uint32_t weight_b) {
   obs::MetricsRegistry::global().reset();
   des::Simulation sim(des::SimConfig{.seed = 4242});
@@ -123,8 +137,8 @@ CaseResult run_case(bool flow_on, std::uint32_t weight_a,
   // server-wide, and the iteration id spaces are disjoint (stride 4) for the
   // same reason.
   des::Mutex activate_mu(sim);
-  const des::Time w0 = sim.now() + des::milliseconds(kWarmupMs);
-  const des::Time w1 = w0 + des::seconds(kWindowSec);
+  const des::Time w0 = sim.now() + des::milliseconds(size.warmup_ms);
+  const des::Time w1 = w0 + des::milliseconds(size.window_ms);
 
   // Enough concurrent streams that a tenant stays backlogged at the server
   // across consecutive grants (a tenant whose queue flickers empty forfeits
@@ -137,8 +151,10 @@ CaseResult run_case(bool flow_on, std::uint32_t weight_a,
     std::unique_ptr<Client> client;
     TenantStats stats;
   };
-  Tenant ta{"tenant-a", &net.create_process(0), nullptr, {}};
-  Tenant tb{"tenant-b", &net.create_process(1), nullptr, {}};
+  TenantStats empty;
+  empty.window_s = size.window_ms / 1e3;
+  Tenant ta{"tenant-a", &net.create_process(0), nullptr, empty};
+  Tenant tb{"tenant-b", &net.create_process(1), nullptr, empty};
   ta.client = std::make_unique<Client>(*ta.proc);
   tb.client = std::make_unique<Client>(*tb.proc);
 
@@ -224,14 +240,38 @@ void json_case(std::FILE* f, const char* key, const CaseResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool smoke = false, bad = false;
+  const char* path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (path == nullptr && argv[i][0] != '-') {
+      path = argv[i];
+    } else {
+      bad = true;
+    }
+  }
+  if (bad || (smoke && path == nullptr)) {
+    std::fprintf(stderr, "usage: %s [PATH]\n       %s --smoke PATH\n",
+                 argv[0], argv[0]);
+    return 2;
+  }
+  if (path == nullptr) path = "BENCH_flow.json";
+  const Size& size = smoke ? kSmoke : kFull;
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return 1;
+  }
+
   headline("Ablation -- two-tenant QoS: credit admission + weighted fair "
            "staging",
            "the multi-tenant staging concern of S II-C/S IV: one server "
            "budget shared by two pipelines, DRR weights vs no flow control");
 
-  const CaseResult off = run_case(/*flow_on=*/false, 1, 1);
-  const CaseResult even = run_case(/*flow_on=*/true, 1, 1);
-  const CaseResult skewed = run_case(/*flow_on=*/true, 3, 1);
+  const CaseResult off = run_case(size, /*flow_on=*/false, 1, 1);
+  const CaseResult even = run_case(size, /*flow_on=*/true, 1, 1);
+  const CaseResult skewed = run_case(size, /*flow_on=*/true, 3, 1);
 
   Table table({"config", "weights", "bw_a_MBps", "bw_b_MBps", "share_a",
                "p99_a_ms", "p99_b_ms", "busy", "peak_staged_MiB"});
@@ -257,22 +297,16 @@ int main(int argc, char** argv) {
        "entitlement); 3:1 achieves %.1f%% (target 75%% +/- 10%%)",
        even.share_a() * 100, skewed.share_a() * 100);
 
-  const char* path = argc > 1 ? argv[1] : "BENCH_flow.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
   std::fprintf(
       f,
       "{\n"
       "  \"benchmark\": \"bench_abl_flowctl\",\n"
       "  \"scenario\": \"two tenant pipelines vs one staging server; block "
-      "2 MiB == server budget, %d s virtual measurement window after %d ms "
+      "2 MiB == server budget, %g s virtual measurement window after %d ms "
       "warmup; weights applied via colza.admin.set_weight\",\n"
       "  \"machine\": \"container, RelWithDebInfo -O2, single thread, "
       "deterministic virtual time (seed 4242)\",\n",
-      kWindowSec, kWarmupMs);
+      size.window_ms / 1e3, size.warmup_ms);
   json_case(f, "no_flow", off);
   json_case(f, "flow_1_1", even);
   json_case(f, "flow_3_1", skewed);

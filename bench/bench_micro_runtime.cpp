@@ -317,17 +317,22 @@ RuntimeReport run_runtime_scenario(const ScenarioScale& sc) {
   return rep;
 }
 
+// Opens a report's output before its scenario runs, so an unwritable path
+// fails at once instead of after a full run.
+std::FILE* open_report(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  return f;
+}
+
 // One run of the scenario: its event count is a pure function of the code,
 // and perfbench's staging-flood workload is the instrument for host time,
 // so the report's wall numbers are a single run's.
 int run_runtime_report(const std::string& path, int procs) {
+  std::FILE* f = open_report(path);
+  if (f == nullptr) return 1;
   const ScenarioScale sc = scale_for(procs);
   const RuntimeReport rep = run_runtime_scenario(sc);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
   std::fprintf(f,
                "{\n"
                "  \"scenario\": \"mona ring flood + collectives\",\n"
@@ -425,12 +430,9 @@ QueueReport run_queue_scenario() {
 
 // One run of the stress, like the runtime report.
 int run_queue_report(const std::string& path) {
+  std::FILE* f = open_report(path);
+  if (f == nullptr) return 1;
   const QueueReport rep = run_queue_scenario();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
   std::fprintf(f,
                "{\n"
                "  \"scenario\": \"high-occupancy queue stress\",\n"

@@ -619,16 +619,18 @@ void Server::install_handlers() {
       flow_->uncharge_block(meta.pipeline, meta.iteration, meta.block_id,
                             meta.field_name, meta.replica_rank);
     };
-    // Verifies a freshly pulled payload against the client's stage-time CRC.
-    // A mismatch here means the bytes rotted in transit (or the chaos layer
-    // flipped them on the wire): drop them, uncharge, and return Corrupt so
-    // the client -- which still holds the pristine copy -- retransmits. No
-    // strike: the wire, not a server, is at fault.
-    auto verify_pull = [&](const std::vector<std::byte>& data) {
+    // Verifies a freshly pulled payload against the client's stage-time CRC,
+    // using the digest the pull computed over the landed bytes as it copied
+    // them (no second read of the block). A mismatch here means the bytes
+    // rotted in transit (or the chaos layer flipped them on the wire): drop
+    // them, uncharge, and return Corrupt so the client -- which still holds
+    // the pristine copy -- retransmits. No strike: the wire, not a server, is
+    // at fault.
+    auto verify_pull = [&](std::uint32_t landed_crc) {
       auto& metrics = obs::MetricsRegistry::global();
       ++integrity_.verifies;
       metrics.counter("integrity.verify").inc();
-      if (common::crc32c(data) == meta.checksum) return Status::Ok();
+      if (landed_crc == meta.checksum) return Status::Ok();
       ++integrity_.mismatches;
       metrics.counter("integrity.mismatch").inc();
       obs::Tracer::global().instant(
@@ -652,8 +654,10 @@ void Server::install_handlers() {
       rb.copyset = meta.copyset;
       rb.sender = info.caller;
       rb.checksum = meta.checksum;
-      Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, rb.data);
-      if (s.ok()) s = verify_pull(rb.data);
+      std::uint32_t landed_crc = 0;
+      Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, rb.data,
+                                    &landed_crc);
+      if (s.ok()) s = verify_pull(landed_crc);
       if (!s.ok()) {
         uncharge_on_failure();
         return s;
@@ -676,8 +680,10 @@ void Server::install_handlers() {
     block.sender = info.caller;
     block.checksum = meta.checksum;
     block.copyset = meta.copyset;
-    Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, block.data);
-    if (s.ok()) s = verify_pull(block.data);
+    std::uint32_t landed_crc = 0;
+    Status s = engine_->rdma_pull(meta.data, 0, meta.data.size, block.data,
+                                  &landed_crc);
+    if (s.ok()) s = verify_pull(landed_crc);
     if (!s.ok()) {
       uncharge_on_failure();
       return s;

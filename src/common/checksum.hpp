@@ -6,10 +6,12 @@
 // exact function of the input, so the two paths are bit-identical by
 // construction; common_test compares them bit for bit on every run.
 //
-// Every staged block is hashed twice (client, then server after the pull),
-// so the hardware path is written to run at memory speed. One `crc32`
-// chain is latency-bound: each instruction waits for the previous result
-// (3 cycles) although the core can start one per cycle. So crc32c_hw runs
+// Every staged block is hashed twice: by the client, and by the server's
+// RDMA pull as it copies the block (net::Network::rdma_get hashes each
+// 24 KiB chunk, one 3 x 8 KiB block below, just before appending it). So
+// the hardware path is written to run at memory speed. One `crc32` chain is
+// latency-bound: each instruction waits for the previous result (3 cycles)
+// although the core can start one per cycle. So crc32c_hw runs
 // three independent chains over adjacent thirds of each 3 x 8 KiB block,
 // then of each 3 x 256 B block, and finishes the tail with the single
 // chain. The three partial CRCs are spliced back together with the GF(2)
@@ -23,10 +25,12 @@
 // condition as a single chain), and is bit-identical to the table path.
 //
 // The checksum is computed over the serialized dataset bytes at stage time,
-// carried on StageMetadata / replica frames, and re-verified at every read
-// (RDMA pull, replica promotion, execute-time parse, background scrub). The
-// computation itself is never charged virtual time: it is part of the always-
-// on protocol, so charging it would only shift every timeline uniformly.
+// carried on StageMetadata / replica frames, and re-verified at every read:
+// after the RDMA pull (against the pull's own digest of the landed bytes),
+// at replica promotion, at the execute-time parse and by the background
+// scrub. The computation itself is never charged virtual time: it is part of
+// the always-on protocol, so charging it would only shift every timeline
+// uniformly.
 //
 // Standard check value: crc32c("123456789") == 0xE3069283.
 #pragma once

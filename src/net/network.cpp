@@ -1,8 +1,8 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/checksum.hpp"
 #include "common/log.hpp"
 
 namespace colza::net {
@@ -285,7 +285,8 @@ des::Duration Network::rdma_delay(Process& self, ProcId owner,
 
 Status Network::rdma_get(Process& self, const BulkRef& ref,
                          std::uint64_t offset, std::uint64_t length,
-                         std::vector<std::byte>& out, const Profile& profile) {
+                         std::vector<std::byte>& out, const Profile& profile,
+                         std::uint32_t* crc) {
   if (!self.alive()) return Status::Unreachable("rdma_get: self is dead");
   if (link_down(self.id(), ref.owner) || link_down(ref.owner, self.id()))
     return Status::Unreachable("rdma_get: link down");
@@ -328,46 +329,26 @@ Status Network::rdma_get(Process& self, const BulkRef& ref,
     return Status::NotFound("rdma_get: region not exposed");
   if (!range_within(offset, length, region->size()))
     return Status::InvalidArgument("rdma_get: region shrank");
+  // One pass over the source: each chunk is hashed (which pulls it into L1),
+  // then appended from L1. 24 KiB is one three-lane block of crc32c_hw.
+  constexpr std::uint64_t kChunk = 24 * 1024;
   const std::byte* src = region->data() + offset;
-  out.insert(out.end(), src, src + length);
+  std::uint32_t digest = 0;
+  for (std::uint64_t done = 0; done < length;) {
+    const std::size_t n = std::min(kChunk, length - done);
+    digest = common::crc32c({src + done, n}, digest);
+    out.insert(out.end(), src + done, src + done + n);
+    done += n;
+  }
   if (corrupt_xor != 0 && length != 0) {
     // Injected wire corruption: the transfer "succeeds" with rotted bytes,
-    // as a real silent fault would. Detection is the reader's job.
-    out[out.size() - length + corrupt_offset % length] ^=
-        std::byte{corrupt_xor};
+    // as a real silent fault would. Detection is the reader's job, so the
+    // digest describes the bytes that landed.
+    std::byte* landed = out.data() + (out.size() - length);
+    landed[corrupt_offset % length] ^= std::byte{corrupt_xor};
+    digest = common::crc32c({landed, length});
   }
-  return Status::Ok();
-}
-
-Status Network::rdma_put(Process& self, const BulkRef& ref,
-                         std::uint64_t offset, std::span<const std::byte> data,
-                         const Profile& profile) {
-  if (!self.alive()) return Status::Unreachable("rdma_put: self is dead");
-  if (offset + data.size() > ref.size)
-    return Status::InvalidArgument("rdma_put: range beyond exposed region");
-  des::Duration delay = rdma_delay(self, ref.owner, data.size(), profile);
-  if (injector_ != nullptr) {
-    const FaultVerdict v =
-        injector_->on_rdma(self, ref.owner, data.size(), delay);
-    if (v.drop) {
-      sim_->sleep_for(delay + v.extra_delay);
-      return Status::Unreachable("rdma_put: transfer lost (injected)");
-    }
-    delay += v.extra_delay;
-  }
-  sim_->sleep_for(delay);
-  Process* remote = find(ref.owner);
-  if (remote == nullptr || !remote->alive())
-    return Status::Unreachable("rdma_put: owner process is gone");
-  auto region = remote->lookup(ref);
-  if (!region.has_value())
-    return Status::NotFound("rdma_put: region not exposed");
-  if (offset + data.size() > region->size())
-    return Status::InvalidArgument("rdma_put: region shrank");
-  // Exposed regions are registered as const spans; a put is a deliberate
-  // remote write into memory the owner handed out for that purpose.
-  std::memcpy(const_cast<std::byte*>(region->data()) + offset, data.data(),
-              data.size());
+  if (crc != nullptr) *crc = digest;
   return Status::Ok();
 }
 

@@ -1,5 +1,5 @@
 // The simulated fabric: nodes, processes, mailboxes, message transmission,
-// and one-sided RDMA on exposed memory regions.
+// and one-sided RDMA reads of exposed memory regions.
 //
 // Layering: net knows nothing about RPCs, tags or collectives. It delivers
 // byte payloads from process to process with a virtual-time delay computed
@@ -249,12 +249,16 @@ class Network {
   // region before anything is allocated or waited for: `ref` is a wire
   // value, and a forged length fails fast instead of sizing a buffer. On
   // failure `out` keeps its size.
+  //
+  // On success `*crc` (when given) is the CRC32C of the appended bytes as
+  // they landed, computed in the same pass as the copy: each 24 KiB chunk is
+  // hashed, then appended while it is still in L1. An injected in-flight
+  // flip is covered (the digest is recomputed over the landed range), so a
+  // reader compares it with the sender's checksum instead of re-reading the
+  // block.
   Status rdma_get(Process& self, const BulkRef& ref, std::uint64_t offset,
                   std::uint64_t length, std::vector<std::byte>& out,
-                  const Profile& profile);
-  // Pushes `data` into the remote exposed region at `offset`.
-  Status rdma_put(Process& self, const BulkRef& ref, std::uint64_t offset,
-                  std::span<const std::byte> data, const Profile& profile);
+                  const Profile& profile, std::uint32_t* crc = nullptr);
 
  private:
   struct Node {

@@ -42,7 +42,7 @@ struct Profile {
   double rendezvous_byte_factor = 1.0;
   double bandwidth_gbps = 8.0;  // GB/s through the library's p2p path
 
-  // Explicit one-sided path (RDMA get/put); used by MoNA for large messages
+  // Explicit one-sided path (RDMA get); used by MoNA for large messages
   // and by the staging protocol's memory-handle pulls.
   des::Duration rdma_setup = des::microseconds(2);
   double rdma_bandwidth_gbps = 10.0;

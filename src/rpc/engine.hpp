@@ -161,11 +161,13 @@ class Engine {
   }
 
   // RDMA pull through this engine's protocol profile (the stage() data path):
-  // appends [offset, offset+length) of `ref` to `out` (net::Network::rdma_get).
+  // appends [offset, offset+length) of `ref` to `out` and, when `crc` is
+  // given, stores the CRC32C of the bytes that landed (net::Network::rdma_get).
   Status rdma_pull(const net::BulkRef& ref, std::uint64_t offset,
-                   std::uint64_t length, std::vector<std::byte>& out) {
+                   std::uint64_t length, std::vector<std::byte>& out,
+                   std::uint32_t* crc = nullptr) {
     return proc_->network().rdma_get(*proc_, ref, offset, length, out,
-                                     profile_);
+                                     profile_, crc);
   }
 
   // Stops the demux loop and fails all pending calls with shutting_down.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "chaos/chaos.hpp"
+#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
 #include "net/profile.hpp"
@@ -498,7 +499,9 @@ TEST_F(ChaosNetTest, RdmaDropRuleFailsTransferAfterModeledDelay) {
 
 // In-transit corruption: the pull succeeds, exactly one byte differs from
 // the exposed region, and the injection record pins down which one (tag =
-// offset, delta = XOR byte) so a replay rots the identical bit.
+// offset, delta = XOR byte) so a replay rots the identical bit. The pull's
+// digest describes the flipped bytes that landed, not the source, so a
+// reader comparing it with the sender's checksum sees the rot.
 TEST_F(ChaosNetTest, RdmaCorruptRuleFlipsOneByteInFlight) {
   Rule r;
   r.kind = RuleKind::corrupt;
@@ -511,14 +514,18 @@ TEST_F(ChaosNetTest, RdmaCorruptRuleFlipsOneByteInFlight) {
   std::vector<std::byte> region(256, std::byte{0x5A});
   const net::BulkRef ref = owner.expose(region);
   std::vector<std::byte> out;
+  std::uint32_t crc = 0;
   StatusCode code = StatusCode::internal;
   reader.spawn("pull", [&] {
-    code = net.rdma_get(reader, ref, 0, region.size(), out, prof).code();
+    code =
+        net.rdma_get(reader, ref, 0, region.size(), out, prof, &crc).code();
   });
   sim.run();
 
   ASSERT_EQ(code, StatusCode::ok);  // the rot is silent by design
   ASSERT_EQ(out.size(), region.size());
+  EXPECT_EQ(crc, common::crc32c(out));
+  EXPECT_NE(crc, common::crc32c(region));
   std::size_t diffs = 0, diff_at = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] != region[i]) {

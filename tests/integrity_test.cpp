@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/mandelbulb.hpp"
+#include "chaos/chaos.hpp"
 #include "colza/admin.hpp"
 #include "colza/catalyst_backend.hpp"
 #include "colza/client.hpp"
@@ -152,6 +153,40 @@ TEST(Integrity, ChecksumsTravelWithEveryCopy) {
     EXPECT_EQ(primaries, w.blocks.size());
     EXPECT_EQ(replicas, w.blocks.size());  // R=2: one buddy copy per block
 
+    ASSERT_TRUE(h->execute(1).ok());
+    ASSERT_TRUE(h->deactivate(1).ok());
+  });
+  EXPECT_NE(w.hash_of(1), 0u);
+}
+
+// In-transit corruption: with every RDMA pull flipping one byte on the
+// wire, the pull's digest of the landed bytes differs from the client's
+// checksum on both the primary and the buddy-replica path, so each server
+// answers corrupt (after the client's bounded retransmits) and stores
+// nothing. Once the wire is clean the same block stages and renders.
+TEST(Integrity, PullDigestCatchesInTransitFlipOnBothCopies) {
+  IntegrityWorld w(2, 1, /*scrub=*/0);
+  chaos::Rule wire;
+  wire.kind = chaos::RuleKind::corrupt;
+  wire.box = "rdma";
+  chaos::ChaosEngine engine(chaos::ChaosPlan{21, {wire}});
+  w.run([&] {
+    auto h = w.lookup();
+    ASSERT_TRUE(h.has_value());
+    h->set_replication(2);
+    ASSERT_TRUE(h->activate(1).ok());
+    const auto& [id, data] = w.blocks[0];
+    engine.attach(w.net);
+    EXPECT_EQ(h->stage(1, id, std::span<const std::byte>(data)).code(),
+              StatusCode::corrupt);
+    w.net.set_fault_injector(nullptr);
+    for (auto& s : w.area->servers()) {
+      EXPECT_GE(s->integrity().mismatches, 1u) << s->address();
+      EXPECT_EQ(s->integrity().mismatches, s->integrity().verifies);
+      EXPECT_TRUE(s->pipeline("render")->integrity_scan(1).empty());
+      EXPECT_EQ(s->replica_count("render", 1), 0u);
+    }
+    ASSERT_TRUE(h->stage(1, id, std::span<const std::byte>(data)).ok());
     ASSERT_TRUE(h->execute(1).ok());
     ASSERT_TRUE(h->deactivate(1).ok());
   });

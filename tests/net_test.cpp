@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
 #include "net/profile.hpp"
@@ -255,6 +256,44 @@ TEST_F(NetTest, RdmaGetWithOffset) {
   sim.run();
 }
 
+// The pull reports the CRC32C of the bytes it appended, computed while
+// copying them: only the appended range, whatever `out` already held, across
+// the 24 KiB chunk boundaries of the copy loop.
+TEST_F(NetTest, RdmaGetDigestCoversOnlyTheAppendedRange) {
+  auto& server = net.create_process(0);
+  auto& client = net.create_process(1);
+  constexpr std::size_t kChunk = 24 * 1024;
+  std::vector<std::byte> data((2u << 20) + 13 + 64);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  BulkRef ref = server.expose(data);
+  client.spawn("pull", [&] {
+    std::uint64_t offset = 1;
+    for (std::size_t length : {std::size_t{0}, std::size_t{1}, kChunk - 1,
+                               kChunk, kChunk + 1, (std::size_t{2} << 20) + 13}) {
+      std::vector<std::byte> out = bytes_of("already here");
+      const std::size_t before = out.size();
+      std::uint32_t crc = 0xDEADBEEFu;
+      ASSERT_TRUE(net.rdma_get(client, ref, offset, length, out, prof, &crc)
+                      .ok())
+          << length;
+      ASSERT_EQ(out.size(), before + length) << length;
+      EXPECT_EQ(string_of({out.data(), before}), "already here") << length;
+      EXPECT_EQ(std::memcmp(out.data() + before, data.data() + offset, length),
+                0)
+          << length;
+      const std::span<const std::byte> appended(out.data() + before, length);
+      EXPECT_EQ(crc, common::crc32c(appended)) << length;
+      EXPECT_NE(crc, common::crc32c(out)) << length;
+      offset += 7;
+    }
+  });
+  sim.run();
+}
+
 TEST_F(NetTest, RdmaGetBeyondRegionFails) {
   auto& server = net.create_process(0);
   auto& client = net.create_process(1);
@@ -325,19 +364,6 @@ TEST_F(NetTest, RdmaGetFromDeadOwnerFails) {
               StatusCode::unreachable);
   });
   sim.run();
-}
-
-TEST_F(NetTest, RdmaPutWritesRemoteRegion) {
-  auto& server = net.create_process(0);
-  auto& client = net.create_process(1);
-  std::vector<std::byte> data(5);
-  BulkRef ref = server.expose(data);
-  client.spawn("push", [&] {
-    auto payload = bytes_of("abcde");
-    ASSERT_TRUE(net.rdma_put(client, ref, 0, payload, prof).ok());
-  });
-  sim.run();
-  EXPECT_EQ(string_of(data), "abcde");
 }
 
 TEST_F(NetTest, RdmaLargeTransferScalesWithSize) {
