@@ -48,6 +48,9 @@ void StagingArea::launch_one(net::NodeId node,
   sim.schedule_after(srun, [this, node, on_joined] {
     auto& p = net_->create_process(node);
     p.spawn("colza-daemon-join", [this, &p, on_joined] {
+      // A failed join has already freed its half-built server: the one
+      // exception to the lifetime rule (DESIGN.md S4), safe because none of
+      // its fibers can run into it again.
       auto r = Server::join(p, config_, &bootstrap_);
       if (!r.has_value()) {
         COLZA_LOG_WARN("colza", "daemon failed to join: %s",
@@ -85,9 +88,7 @@ Status StagingArea::release_scheduled(rpc::Engine& admin_engine,
     StagingArea* area;
     Server* server;
     net::NodeId node;
-    std::weak_ptr<int> token;
     void operator()() {
-      if (token.expired()) return;
       if (server->alive()) {
         area->net_->sim().schedule_after(des::seconds(1), Waiter{*this},
                                          /*daemon=*/true);
@@ -96,8 +97,7 @@ Status StagingArea::release_scheduled(rpc::Engine& admin_engine,
       (void)area->scheduler_->shrink(area->job_, {node});
     }
   };
-  sim.schedule_after(des::seconds(1),
-                     Waiter{this, &server, node, std::weak_ptr<int>(token_)},
+  sim.schedule_after(des::seconds(1), Waiter{this, &server, node},
                      /*daemon=*/true);
   return Status::Ok();
 }
@@ -105,6 +105,7 @@ Status StagingArea::release_scheduled(rpc::Engine& admin_engine,
 void StagingArea::kill_all() {
   for (auto& s : servers_) {
     if (s->alive()) s->process().kill();
+    killed_.push_back(std::move(s));
   }
   servers_.clear();
   bootstrap_.publish({});

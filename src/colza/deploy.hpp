@@ -106,7 +106,11 @@ class StagingArea {
     return Admin(admin_engine).request_leave(server);
   }
 
-  // Kills every daemon outright (the "static" strategy's teardown).
+  // Kills every daemon outright (the "static" strategy's teardown). The
+  // killed servers leave servers() but stay allocated until the area is
+  // destroyed: their fibers and timers can still run (a crashed daemon's
+  // SWIM loops keep probing, parked RPCs time out), so freeing them here
+  // would let those fibers resume into freed memory.
   void kill_all();
 
  private:
@@ -116,10 +120,9 @@ class StagingArea {
   Rng rng_;
   ssg::Bootstrap bootstrap_;
   std::vector<std::unique_ptr<Server>> servers_;
+  std::vector<std::unique_ptr<Server>> killed_;  // by kill_all, see there
   sched::Scheduler* scheduler_ = nullptr;
   sched::JobId job_ = 0;
-  // Guards timers scheduled by release_scheduled against a destroyed area.
-  std::shared_ptr<int> token_ = std::make_shared<int>(0);
 };
 
 }  // namespace colza

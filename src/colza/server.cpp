@@ -149,8 +149,12 @@ Status Server::destroy_pipeline(const std::string& name) {
 }
 
 Backend* Server::pipeline(const std::string& name) {
+  return backend(name).get();
+}
+
+std::shared_ptr<Backend> Server::backend(const std::string& name) const {
   auto it = pipelines_.find(name);
-  return it == pipelines_.end() ? nullptr : it->second.backend.get();
+  return it == pipelines_.end() ? nullptr : it->second.backend;
 }
 
 // ---------------------------------------------------------------- replicas
@@ -195,17 +199,15 @@ void Server::promote_replicas(const std::string& name, Backend* backend,
 
 // ---------------------------------------------------------------- integrity
 
-bool Server::repair_block(const std::string& name, Backend* backend,
-                          std::uint64_t iteration,
-                          const Backend::BlockInfo& info) {
-  auto& metrics = obs::MetricsRegistry::global();
-  obs::SpanScope span("integrity.repair", "integrity");
-  span.arg("block", info.block_id);
-  for (net::ProcId buddy : info.copyset) {
+bool Server::fetch_from_buddies(
+    const std::string& name, std::uint64_t iteration, std::uint64_t block_id,
+    const std::string& field, const std::vector<net::ProcId>& copyset,
+    std::uint32_t want,
+    const std::function<bool(net::ProcId, std::vector<std::byte>&)>& take) {
+  for (net::ProcId buddy : copyset) {
     if (buddy == proc_->id()) continue;
-    auto r = engine_->call_raw(
-        buddy, "colza.fetch_block",
-        pack(name, iteration, info.block_id, info.field_name));
+    auto r = engine_->call_raw(buddy, "colza.fetch_block",
+                               pack(name, iteration, block_id, field));
     if (!r.has_value()) continue;
     std::vector<std::byte> data;
     std::uint32_t checksum = 0;
@@ -216,29 +218,46 @@ bool Server::repair_block(const std::string& name, Backend* backend,
       Supervisor::report_bad_bytes(proc_->sim(), buddy);
       continue;
     }
-    if (checksum != info.checksum) continue;  // different generation
-    // Re-stage the verified copy: keyed backend staging replaces the rotten
-    // bytes in place. The flow-control charge recorded at the original stage
-    // still matches (repair restores the original size), so no re-admission
-    // is needed.
-    const std::uint64_t bytes = data.size();
-    StagedBlock block;
-    block.iteration = iteration;
-    block.block_id = info.block_id;
-    block.field_name = info.field_name;
-    block.sender = buddy;
-    block.data = std::move(data);
-    block.checksum = checksum;
-    block.copyset = info.copyset;
-    if (!backend->stage(std::move(block)).ok()) continue;
-    ++integrity_.repairs;
-    integrity_.repair_bytes += bytes;
-    metrics.counter("integrity.repair").inc();
-    metrics.counter("integrity.repair_bytes").inc(bytes);
-    span.arg("bytes", bytes);
-    return true;
+    if (checksum != want) continue;  // different generation
+    if (take(buddy, data)) return true;
   }
   return false;
+}
+
+void Server::count_repair(std::uint64_t bytes) {
+  auto& metrics = obs::MetricsRegistry::global();
+  ++integrity_.repairs;
+  integrity_.repair_bytes += bytes;
+  metrics.counter("integrity.repair").inc();
+  metrics.counter("integrity.repair_bytes").inc(bytes);
+}
+
+bool Server::repair_block(const std::string& name, Backend* backend,
+                          std::uint64_t iteration,
+                          const Backend::BlockInfo& info) {
+  obs::SpanScope span("integrity.repair", "integrity");
+  span.arg("block", info.block_id);
+  return fetch_from_buddies(
+      name, iteration, info.block_id, info.field_name, info.copyset,
+      info.checksum, [&](net::ProcId buddy, std::vector<std::byte>& data) {
+        // Re-stage the verified copy: keyed backend staging replaces the
+        // rotten bytes in place. The flow-control charge recorded at the
+        // original stage still matches (repair restores the original size),
+        // so no re-admission is needed. A rejected copy tries the next buddy.
+        const std::uint64_t bytes = data.size();
+        StagedBlock block;
+        block.iteration = iteration;
+        block.block_id = info.block_id;
+        block.field_name = info.field_name;
+        block.sender = buddy;
+        block.data = std::move(data);
+        block.checksum = info.checksum;
+        block.copyset = info.copyset;
+        if (!backend->stage(std::move(block)).ok()) return false;
+        count_repair(bytes);
+        span.arg("bytes", bytes);
+        return true;
+      });
 }
 
 Status Server::verify_and_repair(const std::string& name, Backend* backend,
@@ -288,12 +307,12 @@ void Server::scrub_pass() {
   }
   for (const auto& [name, iteration] : slots) {
     if (left_ || !proc_->alive()) return;
-    Backend* p = pipeline(name);
+    const std::shared_ptr<Backend> p = backend(name);
     if (p == nullptr || active_set_.count(iteration) == 0) continue;
     // An unrepairable block is NOT an error here: the execute path reports
     // it to the client (which re-stages); the scrubber's job is only to fix
     // what is fixable before anyone reads it.
-    (void)verify_and_repair(name, p, iteration);
+    (void)verify_and_repair(name, p.get(), iteration);
   }
   // The buddy-replica store: same verify/repair cycle, repaired in place so
   // a later promotion hands the backend intact bytes.
@@ -326,29 +345,15 @@ void Server::scrub_pass() {
             std::to_string(proc_->id()) + ",\"replica\":1");
     Supervisor::report_bad_bytes(proc_->sim(), proc_->id());
     const auto copyset = rb->copyset;  // rb may dangle across the RPCs below
-    const std::uint32_t want = rb->checksum;
-    for (net::ProcId buddy : copyset) {
-      if (buddy == proc_->id()) continue;
-      auto r = engine_->call_raw(buddy, "colza.fetch_block",
-                                 pack(name, iteration, key.first, key.second));
-      if (!r.has_value()) continue;
-      std::vector<std::byte> data;
-      std::uint32_t checksum = 0;
-      unpack(*r, data, checksum);
-      if (common::crc32c(data) != checksum) {
-        Supervisor::report_bad_bytes(proc_->sim(), buddy);
-        continue;
-      }
-      if (checksum != want) continue;
-      rb = find_replica();
-      if (rb == nullptr) break;
-      ++integrity_.repairs;
-      integrity_.repair_bytes += data.size();
-      metrics.counter("integrity.repair").inc();
-      metrics.counter("integrity.repair_bytes").inc(data.size());
-      rb->data = std::move(data);
-      break;
-    }
+    (void)fetch_from_buddies(
+        name, iteration, key.first, key.second, copyset, rb->checksum,
+        [&](net::ProcId, std::vector<std::byte>& data) {
+          rb = find_replica();
+          if (rb == nullptr) return true;  // deactivated meanwhile: done
+          count_repair(data.size());
+          rb->data = std::move(data);
+          return true;
+        });
   }
   ++integrity_.scrub_passes;
   metrics.counter("integrity.scrub").inc();
@@ -465,7 +470,10 @@ void Server::finish_leave() {
           }
         }
         if (successor != net::kInvalidProc) {
-          for (auto& [name, entry] : pipelines_) {
+          // Walk a copy: destroy_pipeline may erase entries while the
+          // migration RPCs block, and each backend is held until migrated.
+          const auto pipelines = pipelines_;
+          for (const auto& [name, entry] : pipelines) {
             if (!entry.backend->stateful()) continue;
             auto state = entry.backend->export_state();
             auto r = engine_->call_raw(successor, "colza.migrate_state",
@@ -572,7 +580,7 @@ void Server::install_handlers() {
       fence->second = epoch;
     }
     prepared_ = false;
-    Backend* p = this->pipeline(pipeline);
+    const std::shared_ptr<Backend> p = backend(pipeline);
     if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
     const bool resumed = active_set_.count(iteration) != 0;
     active_set_.insert(iteration);  // freeze membership application
@@ -604,7 +612,9 @@ void Server::install_handlers() {
     if (left_) return Status::ShuttingDown();
     StageMetadata meta;
     in.load(meta);
-    Backend* p = this->pipeline(meta.pipeline);
+    // Held until the handler returns: a destroy_pipeline that lands while
+    // the pull below blocks takes effect for later requests only.
+    const std::shared_ptr<Backend> p = backend(meta.pipeline);
     if (p == nullptr)
       return Status::NotFound("pipeline '" + meta.pipeline + "'");
     // Admission before the RDMA pull: over-budget stages are shed (Busy)
@@ -706,11 +716,11 @@ void Server::install_handlers() {
     std::uint64_t iteration = 0;
     in.load(pipeline);
     in.load(iteration);
-    Backend* p = this->pipeline(pipeline);
+    const std::shared_ptr<Backend> p = backend(pipeline);
     if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
     // Recovery path: feed any replicas this member must stand in for (their
     // primary fell out of the frozen view) into the backend first.
-    promote_replicas(pipeline, p, iteration);
+    promote_replicas(pipeline, p.get(), iteration);
     // Verify every stored block (repairing from buddies) before the backend
     // reads it. The backend re-checks each block right before parsing it, so
     // rot that lands *during* execute -- after this pass -- still cannot be
@@ -719,7 +729,7 @@ void Server::install_handlers() {
     // client, which re-stages the one bad block (fault.cpp).
     Status s;
     for (int round = 0; round < 3; ++round) {
-      s = verify_and_repair(pipeline, p, iteration);
+      s = verify_and_repair(pipeline, p.get(), iteration);
       if (!s.ok()) return s;
       s = p->execute(iteration);
       if (s.code() != StatusCode::corrupt) break;
@@ -747,7 +757,7 @@ void Server::install_handlers() {
     in.load(field);
     StagedBlock block;
     bool found = false;
-    if (Backend* p = this->pipeline(pipeline); p != nullptr) {
+    if (const std::shared_ptr<Backend> p = backend(pipeline)) {
       found = p->fetch_block(iteration, block_id, field, block);
     }
     if (!found) {
@@ -780,7 +790,7 @@ void Server::install_handlers() {
     std::uint64_t iteration = 0;
     in.load(pipeline);
     in.load(iteration);
-    Backend* p = this->pipeline(pipeline);
+    const std::shared_ptr<Backend> p = backend(pipeline);
     if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
     Status s = p->deactivate(iteration);
     active_set_.erase(iteration);
@@ -849,7 +859,7 @@ void Server::install_handlers() {
     std::vector<std::byte> state;
     in.load(name);
     in.load(state);
-    Backend* p = this->pipeline(name);
+    const std::shared_ptr<Backend> p = backend(name);
     if (p == nullptr) return Status::NotFound("pipeline '" + name + "'");
     return p->import_state(state);
   });
@@ -858,7 +868,7 @@ void Server::install_handlers() {
                                               InArchive& in, OutArchive& out) {
     std::string name;
     in.load(name);
-    Backend* p = this->pipeline(name);
+    const std::shared_ptr<Backend> p = backend(name);
     if (p == nullptr) return Status::NotFound("pipeline '" + name + "'");
     out.save(p->stats().dump());
     return Status::Ok();
@@ -924,19 +934,13 @@ void Server::install_handlers() {
   // promotion after a crash) would ever observe it. CRC passes are free in
   // virtual time; only actual repairs (nested fetch RPCs) appear on the
   // timeline.
-  // The fiber holds its process by value and tests it before touching the
-  // server: the Network owns the process and outlives every server on it,
-  // while StagingArea::kill_all frees a killed daemon's Server as the fiber
-  // sleeps. A live process means a live server. (Two pointers fit
-  // std::function's inline buffer; a larger closure is one more long-lived
-  // heap block per daemon, which moved perfbench's peak RSS by 1.5 MiB.)
   if (config_.scrub_interval != 0) {
     proc_->spawn(
         "colza-scrub",
-        [this, proc = proc_] {
-          while (proc->alive() && !left_) {
-            proc->sim().sleep_for(config_.scrub_interval);
-            if (!proc->alive() || left_) return;
+        [this] {
+          while (alive()) {
+            proc_->sim().sleep_for(config_.scrub_interval);
+            if (!alive()) return;
             scrub_pass();
           }
         },

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -149,11 +150,14 @@ class Server {
 
   struct PipelineEntry {
     std::string type;
-    // Shared, not unique: the viewer tier's producer holds a weak_ptr, so a
-    // render already popped off the tier's queue when destroy_pipeline runs
-    // observes the teardown instead of touching a freed backend.
+    // Shared, not unique: a handler holds its backend until it returns, so a
+    // destroy_pipeline that lands while the handler blocks (an RDMA pull, a
+    // repair RPC, a collective) takes effect for later requests only. The
+    // viewer tier's producer holds a weak_ptr: a render already popped off
+    // the tier's queue when destroy_pipeline runs serves an empty image.
     std::shared_ptr<Backend> backend;
   };
+  [[nodiscard]] std::shared_ptr<Backend> backend(const std::string& name) const;
 
   // A buddy copy of a staged block (replica_rank > 0). Replicas live at the
   // server level -- backends stay replica-agnostic -- keyed by pipeline,
@@ -189,6 +193,17 @@ class Server {
   // was verified and staged back.
   bool repair_block(const std::string& name, Backend* backend,
                     std::uint64_t iteration, const Backend::BlockInfo& info);
+  // Walks `copyset` (skipping self), fetching each member's copy of a block
+  // over colza.fetch_block and verifying it here: a copy that fails its own
+  // CRC strikes its server, one whose CRC is not `want` is another
+  // generation. Each intact copy goes to `take`, which returns true to stop
+  // the walk; the result is whether one did.
+  bool fetch_from_buddies(
+      const std::string& name, std::uint64_t iteration, std::uint64_t block_id,
+      const std::string& field, const std::vector<net::ProcId>& copyset,
+      std::uint32_t want,
+      const std::function<bool(net::ProcId, std::vector<std::byte>&)>& take);
+  void count_repair(std::uint64_t bytes);
   // One scrubber sweep over everything staged here: backend slots (via
   // verify_and_repair) and the buddy-replica store (repaired in place by
   // fetching from other copyset members).

@@ -36,7 +36,6 @@ void Supervisor::start() {
   if (running_) return;
   running_ = true;
   integrity_registry()[sim_] = this;
-  if (token_ == nullptr) token_ = std::make_shared<int>(0);
   for (const auto& s : area_->servers()) {
     node_of_[s->address()] = s->process().node();
     if (s->alive()) watch(*s);
@@ -60,7 +59,6 @@ void Supervisor::stop() {
   }
   for (auto& [group, id] : subscriptions_) group->remove_observer(id);
   subscriptions_.clear();
-  token_.reset();  // in-flight timers and join callbacks become no-ops
 }
 
 void Supervisor::report_bad_bytes(des::Simulation& sim, net::ProcId offender) {
@@ -201,11 +199,10 @@ void Supervisor::schedule_respawn(net::NodeId node) {
       "supervisor.respawn_scheduled", "supervisor",
       "\"node\":" + std::to_string(node) +
           ",\"delay_us\":" + std::to_string(delay / 1000));
-  std::weak_ptr<int> token = token_;
-  sim_->schedule_after(delay, [this, node, token] {
-    if (token.expired() || !running_) return;
-    area_->launch_one(node, [this, node, token](Server& replacement) {
-      if (token.expired() || !running_) return;
+  sim_->schedule_after(delay, [this, node] {
+    if (!running_) return;
+    area_->launch_one(node, [this, node](Server& replacement) {
+      if (!running_) return;
       last_join_at_[node] = sim_->now();
       node_backoff(node).reset();
       ++stats_.respawns_joined;

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -143,9 +142,6 @@ class Supervisor {
   std::map<net::NodeId, int> strikes_;
   std::map<net::NodeId, int> integrity_strikes_;
   std::set<net::NodeId> quarantined_;
-
-  // Guards timers and join callbacks against a destroyed supervisor.
-  std::shared_ptr<int> token_ = std::make_shared<int>(0);
 };
 
 }  // namespace colza

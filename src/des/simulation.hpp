@@ -27,6 +27,11 @@
 //     background gossip loops don't keep the simulation alive.
 //   * If the event queue drains while non-daemon fibers are still blocked,
 //     run() throws DeadlockError naming them.
+//   * Fibers are never cancelled: a fiber still parked when the Simulation
+//     is destroyed is freed without being resumed, and nothing on its stack
+//     is unwound. So an object a fiber or timer captures must stay
+//     allocated while the simulation can still run that fiber or timer
+//     (DESIGN.md S4) -- in practice, until the run is over.
 #pragma once
 
 #include <cassert>

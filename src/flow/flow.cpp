@@ -38,15 +38,11 @@ ServerFlow::ServerFlow(des::Simulation& sim, net::ProcId self,
     : sim_(&sim),
       self_(self),
       config_(config),
-      queue_(config.quantum_bytes == 0 ? 1 : config.quantum_bytes),
-      alive_(std::make_shared<bool>(true)) {
+      queue_(config.quantum_bytes == 0 ? 1 : config.quantum_bytes) {
   Registry::add(sim_, self_, this);
 }
 
-ServerFlow::~ServerFlow() {
-  *alive_ = false;
-  Registry::remove(sim_, self_);
-}
+ServerFlow::~ServerFlow() { Registry::remove(sim_, self_); }
 
 std::uint64_t ServerFlow::drain_ns(std::uint64_t bytes) const noexcept {
   if (config_.drain_gbps <= 0.0) return 0;
@@ -86,18 +82,10 @@ std::uint64_t ServerFlow::grant(const std::string& pipeline,
   grants_.emplace(id, Grant{pipeline, bytes});
   ++grants_total_;
   obs::MetricsRegistry::global().counter("flow.grants").inc();
-  // Lease: reclaim the credit if no stage consumes it in time. The event is
-  // armed at Simulation scope and may outlive this object (server crash),
-  // hence the weak alive token; daemon so it never holds the sim open.
-  std::weak_ptr<bool> alive = alive_;
-  sim_->schedule_after(
-      config_.lease_ttl,
-      [this, alive, id] {
-        auto a = alive.lock();
-        if (!a || !*a) return;
-        on_lease_expired(id);
-      },
-      /*daemon=*/true);
+  // Lease: reclaim the credit if no stage consumes it in time; daemon so it
+  // never holds the sim open.
+  sim_->schedule_after(config_.lease_ttl, [this, id] { on_lease_expired(id); },
+                       /*daemon=*/true);
   return id;
 }
 

@@ -165,10 +165,6 @@ class ServerFlow {
   std::map<std::string, std::map<std::uint64_t, ChargeMap>> charged_;
   std::map<std::string, std::uint32_t> weights_;  // admin-set, for quota_json
   DrrQueue<std::shared_ptr<Waiter>> queue_;
-  // Lease-expiry callbacks are armed at Simulation scope and can outlive a
-  // crashed server's ServerFlow; they hold this token weakly and no-op once
-  // the object is gone.
-  std::shared_ptr<bool> alive_;
 };
 
 // Process-global lookup from (simulation, server proc) to its ServerFlow,

@@ -168,8 +168,10 @@ class Process {
   Mailbox& mailbox(const std::string& name);
 
   // Marks the process dead: mailboxes close, future deliveries are dropped,
-  // exposed regions vanish. (Fibers of a dead process are expected to wind
-  // down when their blocking calls fail.)
+  // exposed regions vanish. Its fibers are not stopped: they run on until
+  // their loops notice (a closed mailbox, a failed call, an alive() check),
+  // so the objects they capture must stay allocated while the simulation
+  // can still run them (DESIGN.md S4; StagingArea keeps killed servers).
   void kill();
 
   // ---- RDMA exposure ------------------------------------------------------

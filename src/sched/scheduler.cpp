@@ -20,26 +20,19 @@ void Scheduler::set_background_utilization(double utilization) {
   if (utilization <= 0) return;
   if (was_off || !churner_started_) {
     churner_started_ = true;
-    // Periodic churn in scheduler context (a self-rescheduling daemon event;
-    // the weak token makes late firings after destruction no-ops).
+    // Periodic churn in scheduler context (a self-rescheduling daemon event).
     struct Churner {
       Scheduler* self;
-      std::weak_ptr<int> token;
       void operator()() {
-        if (token.expired()) return;
         self->churn();
         self->sim_->schedule_after(self->config_.churn_period, Churner{*this},
                                    /*daemon=*/true);
       }
     };
-    sim_->schedule_after(config_.churn_period,
-                         Churner{this, std::weak_ptr<int>(token_)},
-                         /*daemon=*/true);
+    sim_->schedule_after(config_.churn_period, Churner{this}, /*daemon=*/true);
   }
   churn();  // move toward the new target immediately
 }
-
-Scheduler::~Scheduler() = default;
 
 Expected<JobId> Scheduler::submit(std::uint32_t nodes) {
   if (nodes == 0) return Status::InvalidArgument("submit: zero nodes");

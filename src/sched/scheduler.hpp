@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <deque>
 #include <map>
 #include <set>
@@ -48,7 +47,6 @@ struct SchedulerConfig {
 class Scheduler {
  public:
   Scheduler(des::Simulation& sim, SchedulerConfig config);
-  ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -106,7 +104,6 @@ class Scheduler {
   JobId next_job_ = 1;
   bool fair_shares_ = false;
   bool churner_started_ = false;
-  std::shared_ptr<int> token_ = std::make_shared<int>(0);
 };
 
 }  // namespace colza::sched

@@ -50,8 +50,6 @@ Group::Group(rpc::Engine& engine, SwimConfig config,
   publish_bootstrap();
 }
 
-Group::~Group() { stopped_ = true; }
-
 // ----------------------------------------------------------------- view
 
 std::vector<net::ProcId> Group::view() const {
@@ -219,13 +217,8 @@ void Group::mark_suspect(net::ProcId p, std::uint64_t incarnation) {
 
 void Group::schedule_suspicion_check() {
   auto& sim = engine_->sim();
-  sim.schedule_after(
-      config_.suspicion_timeout + des::milliseconds(1),
-      [this, token = std::weak_ptr<int>(token_)] {
-        if (token.expired()) return;
-        check_suspicions();
-      },
-      /*daemon=*/true);
+  sim.schedule_after(config_.suspicion_timeout + des::milliseconds(1),
+                     [this] { check_suspicions(); }, /*daemon=*/true);
 }
 
 void Group::check_suspicions() {
@@ -277,24 +270,20 @@ net::ProcId Group::next_probe_target() {
 }
 
 void Group::probe_loop() {
-  auto token = std::weak_ptr<int>(token_);
   while (true) {
     engine_->sim().sleep_for(config_.probe_period);
-    if (token.expired()) return;
     if (stopped_) return;
     const net::ProcId target = next_probe_target();
     if (target == net::kInvalidProc) continue;
     probe_one(target);
-    if (token.expired()) return;
   }
 }
 
 void Group::probe_one(net::ProcId target) {
-  auto token = std::weak_ptr<int>(token_);
   auto piggyback = drain_piggyback();
   auto r = engine_->call_timeout<std::vector<Update>>(
       target, "ssg.ping", config_.probe_timeout, piggyback);
-  if (token.expired() || stopped_) return;
+  if (stopped_) return;
   if (r.has_value()) {
     apply_updates(*r);
     return;
@@ -319,11 +308,10 @@ void Group::probe_one(net::ProcId target) {
     for (net::ProcId proxy : proxies) {
       engine_->process().spawn(
           "ssg-pingreq",
-          [this, token, proxy, target, done, remaining] {
+          [this, proxy, target, done, remaining] {
             auto rr = engine_->call_timeout<std::uint8_t>(
                 proxy, "ssg.pingreq", config_.indirect_timeout, target,
                 drain_piggyback());
-            if (token.expired()) return;
             const bool ok = rr.has_value() && *rr != 0;
             if (ok && !done->ready()) done->set_value(true);
             if (--*remaining == 0 && !done->ready()) done->set_value(false);
@@ -332,7 +320,7 @@ void Group::probe_one(net::ProcId target) {
     }
     auto* result = done->wait_for(config_.indirect_timeout +
                                   config_.probe_timeout);
-    if (token.expired() || stopped_) return;
+    if (stopped_) return;
     reached = result != nullptr && *result;
   }
 
@@ -360,8 +348,6 @@ void Group::append_eviction_notice(net::ProcId caller,
 // ---------------------------------------------------------------- handlers
 
 void Group::install_handlers() {
-  token_ = std::make_shared<int>(0);
-
   engine_->define("ssg.ping", [this](const rpc::RequestInfo& info,
                                      InArchive& in, OutArchive& out) {
     std::vector<Update> updates;

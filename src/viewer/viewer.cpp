@@ -75,10 +75,8 @@ ViewerTier::ViewerTier(net::Process& proc, rpc::Engine& engine,
 }
 
 ViewerTier::~ViewerTier() {
-  // The daemon fibers stay parked in their condition variables (they are
-  // only ever woken by this object, which is going away); do not notify
-  // here, so nothing resumes into freed state if the simulation runs on.
-  stopped_ = true;
+  // No notify: the parked render and pump fibers must never resume into a
+  // freed tier (a failed join frees its server's tier at once, DESIGN.md S4).
   Registry::remove(&proc_->sim(), proc_->id());
 }
 
@@ -305,7 +303,6 @@ void ViewerTier::render_loop() {
     {
       des::LockGuard g(mu_);
       for (;;) {
-        if (stopped_) return;
         bool found = false;
         for (const auto& [key, sid] : stream_ids_) {
           Stream& st = streams_[sid];
@@ -397,7 +394,6 @@ void ViewerTier::pump_loop() {
     {
       des::LockGuard g(mu_);
       for (;;) {
-        if (stopped_) return;
         item = delivery_.pop(
             [](std::uint64_t) { return true; },  // no global byte budget
             [this](const DeliveryItem& it) {
@@ -458,9 +454,7 @@ void ViewerTier::deliver(const DeliveryItem& item) {
     ++credit_waits_;
     proc_->sim().schedule_after(
         static_cast<des::Duration>(wait_ns),
-        [this, alive = std::weak_ptr<bool>(alive_), again = item,
-         cost = total] {
-          if (alive.expired()) return;  // the tier is gone
+        [this, again = item, cost = total] {
           --credit_waits_;
           Session* s2 = find_session(again.session);
           if (s2 != nullptr && s2->find(again.stream) != nullptr) {

@@ -262,10 +262,6 @@ class ViewerTier {
   des::CondVar render_cv_;
   des::CondVar pump_cv_;
   des::CondVar idle_cv_;
-  bool stopped_ = false;
-  // Credit-wait timers are armed at Simulation scope and can fire after the
-  // tier is gone; they hold this token weakly and do nothing once it dies.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Session ids are dense and never reused: id N lives at sessions_[N - 1],
   // which is null once it disconnects.

@@ -17,6 +17,7 @@
 #include "colza/server.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "vis/data.hpp"
 
 namespace colza {
@@ -694,6 +695,115 @@ TEST(Deploy, ElasticJoinFasterAndStablerThanRestart) {
   ASSERT_GT(joined_at, 0u);
   const des::Duration join_time = joined_at - join_started;
   EXPECT_LT(join_time, restart_time);
+}
+
+// ------------------------------------------------------------- lifetime
+// The rule (DESIGN.md S4): no object a fiber or timer captures is freed while
+// its simulation can still run that fiber or timer.
+
+// kill_all() while SWIM fibers are parked in RPCs that cannot be answered:
+// every link is cut at 5 s, and 900 ms later a probe or ping-req fiber is
+// waiting in call_raw. The killed daemons' servers stay allocated inside the
+// area, so when those calls time out the fibers resume into live engines and
+// groups (freeing them woke the parked calls into freed engines).
+TEST(Deploy, KillAllWithProbesParkedRunsOn) {
+  des::Simulation sim(des::SimConfig{.seed = 11});
+  net::Network net(sim);
+  const LaunchModel instant{milliseconds(10), 0.0, milliseconds(10)};
+  StagingArea area(net, ServerConfig{}, instant, /*seed=*/11);
+  area.launch_initial(3, /*base_node=*/100);
+  sim.run_until(seconds(5));
+  const auto members = area.alive_addresses();
+  ASSERT_EQ(members.size(), 3u);
+  for (net::ProcId a : members) {
+    for (net::ProcId b : members) {
+      if (a != b) net.set_link_down(a, b, true);
+    }
+  }
+  sim.run_until(milliseconds(5900));
+  area.kill_all();
+  EXPECT_TRUE(area.servers().empty());
+  EXPECT_EQ(net.alive_count(), 0u);
+  sim.run_until(milliseconds(15900));
+  EXPECT_EQ(sim.now(), milliseconds(15900));
+}
+
+// destroy_pipeline while colza.stage is inside its RDMA pull (8 MiB: about
+// 950 us). The handler holds the backend until it returns, so the pull lands
+// in a live backend and the stage succeeds; the backend is freed when the
+// handler finishes, and later requests no longer find the pipeline.
+TEST(Colza, DestroyPipelineDuringStagePull) {
+  ColzaWorld w(1);
+  w.create_everywhere("pipe", "recording");
+  Server* srv = w.area->servers().front().get();
+  bool done = false;
+  w.client_proc->spawn("app", [&] {
+    auto h = DistributedPipelineHandle::lookup(
+        *w.client, w.area->bootstrap().contacts(), "pipe");
+    ASSERT_TRUE(h.has_value());
+    ASSERT_TRUE(h->activate(1).ok());
+    w.client_proc->spawn("admin", [&] {
+      w.sim.sleep_for(des::microseconds(300));
+      ASSERT_EQ(RecordingBackend::instances().size(), 1u);
+      EXPECT_EQ(RecordingBackend::instances().front()->bytes, 0u);
+      ASSERT_TRUE(srv->destroy_pipeline("pipe").ok());
+      EXPECT_EQ(srv->pipeline("pipe"), nullptr);
+      EXPECT_EQ(RecordingBackend::instances().size(), 1u);  // still pulling
+    });
+    std::vector<std::byte> data(8u << 20, std::byte{3});
+    EXPECT_TRUE(h->stage(1, 0, data).ok());
+    EXPECT_TRUE(RecordingBackend::instances().empty());
+    EXPECT_EQ(h->stage(1, 1, data).code(), StatusCode::not_found);
+    done = true;
+  });
+  w.sim.run();
+  EXPECT_TRUE(done);
+}
+
+// destroy_pipeline while a leaving server migrates its stateful pipelines:
+// the shutdown fiber walks a copy of the pipeline table, so erasing the entry
+// whose migration RPC is in flight neither breaks the walk nor stops the
+// next pipeline's migration.
+TEST(Colza, DestroyPipelineDuringLeaveMigration) {
+  ColzaWorld w(2);
+  w.create_everywhere("h1", "histogram");
+  w.create_everywhere("h2", "histogram");
+  Server* leaving = w.area->servers().front().get();
+  auto& migrations = obs::MetricsRegistry::global().histogram(
+      "rpc.latency.colza.migrate_state");
+  const std::uint64_t before = migrations.count;
+  w.client_proc->spawn("admin", [&] {
+    Admin admin(w.client->engine());
+    ASSERT_TRUE(admin.request_leave(leaving->address()).ok());
+    // The leave spawned the shutdown fiber, now waiting on h1's migration.
+    EXPECT_EQ(migrations.count, before);
+    ASSERT_TRUE(leaving->destroy_pipeline("h1").ok());
+  });
+  w.sim.run();
+  w.sim.run_until(w.sim.now() + seconds(1));  // the daemon fiber finishes
+  EXPECT_EQ(migrations.count, before + 2);
+  EXPECT_FALSE(leaving->alive());
+}
+
+// The rule's one exception: a daemon whose join fails frees its half-built
+// server at once. Nothing can resume into it -- its demux loops return from
+// the killed process's closed mailboxes, and its viewer fibers wait on
+// condition variables only the tier notifies -- so the area runs on.
+TEST(Deploy, FailedJoinAgainstDeadContactsRunsOn) {
+  des::Simulation sim(des::SimConfig{.seed = 11});
+  net::Network net(sim);
+  const LaunchModel instant{milliseconds(10), 0.0, milliseconds(10)};
+  StagingArea area(net, ServerConfig{}, instant, /*seed=*/11);
+  area.launch_initial(2, /*base_node=*/100);
+  sim.run_until(seconds(3));
+  ASSERT_EQ(area.alive_count(), 2u);
+  for (const auto& s : area.servers()) s->process().kill();  // contacts die
+  bool joined = false;
+  area.launch_one(102, [&](Server&) { joined = true; });
+  sim.run_until(seconds(20));
+  EXPECT_FALSE(joined);
+  EXPECT_EQ(area.servers().size(), 2u);
+  EXPECT_EQ(net.alive_count(), 0u);  // the joiner took its process down
 }
 
 }  // namespace

@@ -338,9 +338,10 @@ TEST(ViewerTier, LateSubscriberGetsCurrentFrame) {
   rig.sim.run();
 }
 
-// A tier destroyed while a starved session waits for credit (a server with
-// a co-hosted tier going away mid-run): the wait's timer still fires later
-// in the run and must find the tier gone instead of touching freed state.
+// A tier whose process dies while a starved session waits for credit (a
+// server with a co-hosted tier crashing mid-run). A dead server's objects
+// stay allocated while the simulation can still run their timers, so the
+// wait fires later in the run into a live tier and the run ends on time.
 TEST(ViewerTier, CreditWaitOutlivingTheTierIsHarmless) {
   ViewerConfig cfg;
   cfg.classes = {{"starved", 1, 100, 400}};
@@ -348,17 +349,17 @@ TEST(ViewerTier, CreditWaitOutlivingTheTierIsHarmless) {
   net::Network net(sim);
   auto& proc = net.create_process(1);
   rpc::Engine engine(proc, net::Profile::mona());
-  auto tier = std::make_unique<ViewerTier>(proc, engine, cfg);
-  tier->set_producer("pipe", test_producer());
+  ViewerTier tier(proc, engine, cfg);
+  tier.set_producer("pipe", test_producer());
   proc.spawn("driver", [&] {
-    const std::uint64_t id = tier->connect(0);
-    ASSERT_TRUE(tier->subscribe(id, "pipe", 0).ok());
+    const std::uint64_t id = tier.connect(0);
+    ASSERT_TRUE(tier.subscribe(id, "pipe", 0).ok());
     for (std::uint64_t it = 1; it <= 5; ++it) {
-      tier->publish("pipe", it);
+      tier.publish("pipe", it);
       sim.sleep_for(milliseconds(10));
     }
-    ASSERT_GT(tier->skips_total(), 0u);  // a credit wait is pending
-    tier.reset();
+    ASSERT_GT(tier.skips_total(), 0u);  // a credit wait is pending
+    proc.kill();
     sim.sleep_for(seconds(60));  // run on past the wait's deadline
   });
   sim.run();
