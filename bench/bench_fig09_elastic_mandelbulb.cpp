@@ -15,10 +15,13 @@
 // iteration. Tracing pins charge_scoped costs (fixed_scoped_charge) so two
 // runs at the same seed produce byte-identical trace files. `--smoke` runs 4
 // clients for three iterations with one node joining after the first (the
-// tier-1 bench-smoke test).
+// tier-1 bench-smoke test). At the smoke size with `--trace`, both files are
+// pinned: the bench exits 1 unless each one's FNV-1a equals the value below.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -26,6 +29,7 @@
 #include "apps/mandelbulb.hpp"
 #include "bench/bench_util.hpp"
 #include "bench/colza_harness.hpp"
+#include "common/hash.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -41,6 +45,24 @@ struct Size {
 };
 const Size kFull{16, 4, 16, 40, 128, 6, colza::des::seconds(60)};
 const Size kSmoke{4, 2, 8, 3, 32, 1, colza::des::seconds(15)};
+
+// FNV-1a of the smoke size's --trace and --metrics files (165,517 and 4,872
+// bytes). The metrics file carries counts that each server records, so the
+// pin also checks how the registry merges them.
+constexpr std::uint64_t kSmokeTraceFnv = 0x78f20b3213c5e2b0ULL;
+constexpr std::uint64_t kSmokeMetricsFnv = 0x73dea3135f55ab63ULL;
+
+// False (and a line on stderr) unless the file at `path` hashes to `want`.
+bool file_matches(const std::string& path, std::uint64_t want) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  const std::uint64_t got = colza::common::fnv1a_str(bytes);
+  if (got == want) return true;
+  std::fprintf(stderr, "%s: FNV-1a %016llx, pinned %016llx\n", path.c_str(),
+               static_cast<unsigned long long>(got),
+               static_cast<unsigned long long>(want));
+  return false;
+}
 
 }  // namespace
 
@@ -178,6 +200,14 @@ int main(int argc, char** argv) {
   }
   if (!metrics_path.empty()) {
     std::printf("metrics written to %s\n", metrics_path.c_str());
+  }
+  // Without --trace, charge_scoped charges host time and nothing is pinned.
+  if (smoke && !trace_path.empty()) {
+    bool ok = file_matches(trace_path, kSmokeTraceFnv);
+    if (!metrics_path.empty()) {
+      ok = file_matches(metrics_path, kSmokeMetricsFnv) && ok;
+    }
+    if (!ok) return 1;
   }
   return 0;
 }
