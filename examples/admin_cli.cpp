@@ -3,12 +3,13 @@
 // pipelines, inspecting the membership, requesting a server to leave, and
 // driving the flow-control QoS knobs (docs/flow.md).
 //
-// Besides the default walkthrough, two operator verbs run a minimal
-// staging area and issue exactly one admin RPC each:
+// Besides the default walkthrough, three operator verbs run a minimal
+// staging area and issue one admin RPC per server:
 //   admin_cli set-weight <pipeline> <w>   # weight the pipeline's DRR share
-//   admin_cli show-quota                  # dump a server's quota document
-//   admin_cli show-integrity              # dump per-server integrity counters
-//   admin_cli show-viewers                # dump per-server viewer-tier stats
+//   admin_cli show-quota                  # dump each server's flow state
+//   admin_cli show <prefix>               # dump each server's metrics whose
+//                                         # names start with <prefix>, e.g.
+//                                         # integrity., flow. or viewer.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,28 +79,20 @@ int run_verb(int argc, char** argv) {
       return;
     }
 
-    if (verb == "show-integrity") {
-      // Verified / repaired / unrepairable counts per daemon, the way an
-      // operator would watch for a node with failing memory: a server whose
-      // mismatch count keeps climbing is rotting bytes at rest.
-      for (net::ProcId s : servers) {
-        auto integrity = admin.get_integrity(s);
-        integrity.status().check();
-        std::printf("integrity on %s: %s\n", net::to_string(s).c_str(),
-                    integrity->dump().c_str());
+    if (verb == "show") {
+      // One daemon's counts by name prefix, the way an operator would watch
+      // for a node whose integrity.mismatch keeps climbing (rotting bytes at
+      // rest) or check that viewer.renders stays flat under a flash crowd.
+      if (argc != 3) {
+        std::fprintf(stderr, "usage: admin_cli show <prefix>\n");
+        rc = 2;
+        return;
       }
-      return;
-    }
-
-    if (verb == "show-viewers") {
-      // Sessions / renders / cache hit rate per daemon, the way an operator
-      // would check whether a flash crowd of observers is being absorbed by
-      // the frame cache or forcing extra renders (docs/viewer.md).
       for (net::ProcId s : servers) {
-        auto viewers = admin.get_viewers(s);
-        viewers.status().check();
-        std::printf("viewers on %s: %s\n", net::to_string(s).c_str(),
-                    viewers->dump().c_str());
+        auto metrics = admin.get_metrics(s, argv[2]);
+        metrics.status().check();
+        std::printf("metrics on %s: %s\n", net::to_string(s).c_str(),
+                    metrics->dump().c_str());
       }
       return;
     }
@@ -107,11 +100,9 @@ int run_verb(int argc, char** argv) {
     std::fprintf(stderr,
                  "unknown verb '%s'\nknown verbs:\n"
                  "  set-weight <pipeline> <w>  weight the pipeline's DRR share\n"
-                 "  show-quota                 dump per-server quota documents\n"
-                 "  show-integrity             dump per-server integrity "
-                 "counters\n"
-                 "  show-viewers               dump per-server viewer-tier "
-                 "stats\n",
+                 "  show-quota                 dump per-server flow state\n"
+                 "  show <prefix>              dump per-server metrics whose "
+                 "names start with <prefix>\n",
                  verb.c_str());
     rc = 2;
   });

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "des/simulation.hpp"
 #include "flow/flow.hpp"
 #include "viewer/viewer.hpp"
@@ -55,14 +56,11 @@ common::integrity::CorruptMode mode_from_string(const std::string& s,
                            "' (want bit_flip, truncate or zero)");
 }
 
-// Same mixer the server uses for its victim picks: one cheap, well-spread
-// 64-bit permutation so rule index and plan seed never collide into the
-// same candidate choice.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+// A rule's deterministic pick (a corrupt rule's victim, a churn rule's coin
+// seed). It comes from the plan seed and the rule index, not the shared
+// per-message RNG, so arming order cannot perturb message verdict draws.
+std::uint64_t rule_pick(std::uint64_t seed, std::size_t rule) {
+  return common::splitmix64(seed ^ common::splitmix64(rule + 1));
 }
 
 // Times in the JSON plan are microseconds; the simulation runs nanoseconds.
@@ -405,11 +403,9 @@ void ChaosEngine::apply_corrupt(std::size_t rule) {
     if (p == nullptr) return;
     target = p->id();
   }
-  // The victim pick comes from the plan seed and rule index, not the shared
-  // per-message RNG: arming order must not perturb message verdict draws.
-  const std::uint64_t pick = splitmix64(plan_.seed ^ splitmix64(rule + 1));
   const common::integrity::CorruptResult res =
-      common::integrity::Registry::corrupt(sim_, target, r.corrupt_mode, pick);
+      common::integrity::Registry::corrupt(sim_, target, r.corrupt_mode,
+                                           rule_pick(plan_.seed, rule));
   if (res.blocks == 0 && !res.deferred) {
     // No hook answered: the victim is down (or not a server). Re-arm every
     // 500ms so a respawned replacement is still hit, but give up once the
@@ -440,10 +436,9 @@ void ChaosEngine::apply_viewer_churn(std::size_t rule) {
     record(RuleKind::viewer_churn, rule, r.target, 0, 0, 0, 1);
     return;
   }
-  // Per-session coin seed comes from the plan seed and rule index, not the
-  // shared per-message RNG: arming order must not perturb verdict draws.
-  const std::uint64_t pick = splitmix64(plan_.seed ^ splitmix64(rule + 1));
-  const std::size_t dropped = tier->churn(r.probability, pick);
+  // The pick seeds each session's coin.
+  const std::size_t dropped =
+      tier->churn(r.probability, rule_pick(plan_.seed, rule));
   record(RuleKind::viewer_churn, rule, r.target, 0, 0, dropped, 0);
 }
 

@@ -62,8 +62,9 @@ class Admin {
     return r.status();
   }
 
-  // Fetches a server's flow-control quota document: budget, bytes in use,
-  // peak, grant-queue depth, shed counts and the per-pipeline weights.
+  // Fetches a server's flow-control state: budget, bytes in use, injected
+  // pressure, grant-queue depth, outstanding grants and per-pipeline weights.
+  // Its counts (grants, sheds, staged bytes) are metrics: get_metrics "flow.".
   Expected<json::Value> get_quota(net::ProcId server) {
     auto r = engine_->call_raw(server, "colza.admin.quota", {});
     if (!r.has_value()) return r.status();
@@ -72,22 +73,13 @@ class Admin {
     return json::parse(dump);
   }
 
-  // Fetches a server's data-integrity counters: blocks verified, checksum
-  // mismatches caught, buddy repairs (and bytes moved for them), blocks with
-  // no intact copy left, and completed scrubber passes.
-  Expected<json::Value> get_integrity(net::ProcId server) {
-    auto r = engine_->call_raw(server, "colza.admin.integrity", {});
-    if (!r.has_value()) return r.status();
-    std::string dump;
-    unpack(*r, dump);
-    return json::parse(dump);
-  }
-
-  // Fetches a server's viewer-tier document: live sessions, renders, frames
-  // and bytes delivered, skip counts, cache hit rate, and per-stream detail
-  // (docs/viewer.md).
-  Expected<json::Value> get_viewers(net::ProcId server) {
-    auto r = engine_->call_raw(server, "colza.admin.viewers", {});
+  // Fetches a server's metrics whose names start with `prefix` -- its own
+  // (integrity.*, colza.server.*), its flow control's (flow.*) and its viewer
+  // tier's (viewer.*) -- as a registry document: counters, gauges,
+  // histograms and watermarks (docs/observability.md). "" returns them all.
+  Expected<json::Value> get_metrics(net::ProcId server,
+                                    const std::string& prefix) {
+    auto r = engine_->call_raw(server, "colza.admin.metrics", pack(prefix));
     if (!r.has_value()) return r.status();
     std::string dump;
     unpack(*r, dump);

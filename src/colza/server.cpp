@@ -7,21 +7,13 @@
 #include "colza/supervisor.hpp"
 #include "common/checksum.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace colza {
 
 namespace {
-// Mixer for deriving the corrupted bit position from the chaos pick:
-// decorrelates it from the victim-block choice without a second RNG stream.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Damages `data` in place per the chaos mode, leaving its recorded checksum
 // stale. Returns the number of bytes damaged.
 std::size_t mangle_payload(std::vector<std::byte>& data,
@@ -30,7 +22,8 @@ std::size_t mangle_payload(std::vector<std::byte>& data,
   using common::integrity::CorruptMode;
   switch (mode) {
     case CorruptMode::bit_flip: {
-      const std::uint64_t bit = splitmix64(pick) % (data.size() * 8);
+      // Mixed, so the bit is decorrelated from the victim-block choice.
+      const std::uint64_t bit = common::splitmix64(pick) % (data.size() * 8);
       data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
       return 1;
     }
@@ -225,11 +218,8 @@ bool Server::fetch_from_buddies(
 }
 
 void Server::count_repair(std::uint64_t bytes) {
-  auto& metrics = obs::MetricsRegistry::global();
-  ++integrity_.repairs;
-  integrity_.repair_bytes += bytes;
-  metrics.counter("integrity.repair").inc();
-  metrics.counter("integrity.repair_bytes").inc(bytes);
+  repairs_->inc();
+  repair_bytes_->inc(bytes);
 }
 
 bool Server::repair_block(const std::string& name, Backend* backend,
@@ -262,17 +252,12 @@ bool Server::repair_block(const std::string& name, Backend* backend,
 
 Status Server::verify_and_repair(const std::string& name, Backend* backend,
                                  std::uint64_t iteration) {
-  auto& metrics = obs::MetricsRegistry::global();
   const auto scan = backend->integrity_scan(iteration);
-  integrity_.verifies += scan.size();
-  if (!scan.empty()) {
-    metrics.counter("integrity.verify").inc(scan.size());
-  }
+  if (!scan.empty()) verifies_->inc(scan.size());
   Status result = Status::Ok();
   for (const auto& info : scan) {
     if (info.valid) continue;
-    ++integrity_.mismatches;
-    metrics.counter("integrity.mismatch").inc();
+    mismatches_->inc();
     obs::Tracer::global().instant(
         "integrity.mismatch", "integrity",
         "\"block\":" + std::to_string(info.block_id) + ",\"member\":" +
@@ -281,8 +266,7 @@ Status Server::verify_and_repair(const std::string& name, Backend* backend,
     // keeps corrupting data eventually gets its node quarantined.
     Supervisor::report_bad_bytes(proc_->sim(), proc_->id());
     if (repair_block(name, backend, iteration, info)) continue;
-    ++integrity_.restage_fallbacks;
-    metrics.counter("integrity.restage_fallback").inc();
+    restage_fallbacks_->inc();
     if (result.ok()) {
       result = Status::Corrupt(
           "no intact copy of block " + std::to_string(info.block_id) +
@@ -295,7 +279,6 @@ Status Server::verify_and_repair(const std::string& name, Backend* backend,
 }
 
 void Server::scrub_pass() {
-  auto& metrics = obs::MetricsRegistry::global();
   obs::SpanScope span("integrity.scrub", "integrity");
   // Snapshot the worklists first: repairs block on nested RPCs, and commit /
   // deactivate may mutate the maps while this fiber is parked.
@@ -334,11 +317,9 @@ void Server::scrub_pass() {
     };
     ReplicaBlock* rb = find_replica();
     if (rb == nullptr) continue;  // deactivated while we were scrubbing
-    ++integrity_.verifies;
-    metrics.counter("integrity.verify").inc();
+    verifies_->inc();
     if (common::crc32c(rb->data) == rb->checksum) continue;
-    ++integrity_.mismatches;
-    metrics.counter("integrity.mismatch").inc();
+    mismatches_->inc();
     obs::Tracer::global().instant(
         "integrity.mismatch", "integrity",
         "\"block\":" + std::to_string(key.first) + ",\"member\":" +
@@ -355,8 +336,7 @@ void Server::scrub_pass() {
           return true;
         });
   }
-  ++integrity_.scrub_passes;
-  metrics.counter("integrity.scrub").inc();
+  scrubs_->inc();
 }
 
 common::integrity::CorruptResult Server::corrupt_storage(
@@ -637,12 +617,9 @@ void Server::install_handlers() {
     // the pristine copy -- retransmits. No strike: the wire, not a server, is
     // at fault.
     auto verify_pull = [&](std::uint32_t landed_crc) {
-      auto& metrics = obs::MetricsRegistry::global();
-      ++integrity_.verifies;
-      metrics.counter("integrity.verify").inc();
+      verifies_->inc();
       if (landed_crc == meta.checksum) return Status::Ok();
-      ++integrity_.mismatches;
-      metrics.counter("integrity.mismatch").inc();
+      mismatches_->inc();
       obs::Tracer::global().instant(
           "integrity.mismatch", "integrity",
           "\"block\":" + std::to_string(meta.block_id) + ",\"member\":" +
@@ -672,9 +649,7 @@ void Server::install_handlers() {
         uncharge_on_failure();
         return s;
       }
-      obs::MetricsRegistry::global()
-          .counter("colza.server.replica_bytes_pulled")
-          .inc(meta.data.size);
+      replica_bytes_pulled_->inc(meta.data.size);
       // Rot-on-write: a deferred chaos corruption lands on the verified
       // bytes after the pull check, so it stays silent until the next read.
       apply_pending_corrupt(rb.data);
@@ -698,9 +673,7 @@ void Server::install_handlers() {
       uncharge_on_failure();
       return s;
     }
-    obs::MetricsRegistry::global()
-        .counter("colza.server.bytes_pulled")
-        .inc(meta.data.size);
+    bytes_pulled_->inc(meta.data.size);
     // Rot-on-write: a deferred chaos corruption lands on the verified bytes
     // after the pull check, so it stays silent until the next read.
     apply_pending_corrupt(block.data);
@@ -892,31 +865,19 @@ void Server::install_handlers() {
     return Status::Ok();
   });
 
-  engine_->define("colza.admin.integrity",
-                  [this](const rpc::RequestInfo&, InArchive&, OutArchive& out) {
-                    json::Object doc;
-                    doc.emplace("verifies",
-                                static_cast<double>(integrity_.verifies));
-                    doc.emplace("mismatches",
-                                static_cast<double>(integrity_.mismatches));
-                    doc.emplace("repairs",
-                                static_cast<double>(integrity_.repairs));
-                    doc.emplace("repair_bytes",
-                                static_cast<double>(integrity_.repair_bytes));
-                    doc.emplace(
-                        "restage_fallbacks",
-                        static_cast<double>(integrity_.restage_fallbacks));
-                    doc.emplace("scrub_passes",
-                                static_cast<double>(integrity_.scrub_passes));
-                    out.save(json::Value(std::move(doc)).dump());
-                    return Status::Ok();
-                  });
-
-  engine_->define("colza.admin.viewers",
-                  [this](const rpc::RequestInfo&, InArchive&, OutArchive& out) {
-                    out.save(viewer_->stats_json().dump());
-                    return Status::Ok();
-                  });
+  // Every count this daemon keeps -- its own, its flow control's and its
+  // viewer tier's -- whose name starts with the requested prefix.
+  engine_->define(
+      "colza.admin.metrics",
+      [this](const rpc::RequestInfo&, InArchive& in, OutArchive& out) {
+        std::string prefix;
+        in.load(prefix);
+        const std::vector<obs::ScopeId> scopes{scope_, flow_->metrics_scope(),
+                                               viewer_->metrics_scope()};
+        out.save(
+            obs::MetricsRegistry::global().to_json(scopes, prefix).dump());
+        return Status::Ok();
+      });
 
   engine_->define("colza.admin.list_pipelines",
                   [this](const rpc::RequestInfo&, InArchive&, OutArchive& out) {

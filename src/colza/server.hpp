@@ -25,6 +25,7 @@
 #include "common/integrity.hpp"
 #include "flow/flow.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/engine.hpp"
 #include "ssg/ssg.hpp"
 #include "viewer/viewer.hpp"
@@ -51,17 +52,6 @@ struct ServerConfig {
   // inert (two parked daemon fibers) until an observer connects. Rendered
   // frames are published to it after each successful execute.
   viewer::ViewerConfig viewer;
-};
-
-// Counters of the server-side integrity machinery, one instance per daemon
-// (see docs/PROTOCOL.md, integrity section).
-struct IntegrityStats {
-  std::uint64_t verifies = 0;           // blocks checked (execute + scrub)
-  std::uint64_t mismatches = 0;         // checks that failed
-  std::uint64_t repairs = 0;            // blocks restored from a buddy copy
-  std::uint64_t repair_bytes = 0;       // bytes fetched for those repairs
-  std::uint64_t restage_fallbacks = 0;  // blocks with no intact copy left
-  std::uint64_t scrub_passes = 0;       // completed scrubber sweeps
 };
 
 class Server {
@@ -122,10 +112,10 @@ class Server {
     return *flow_;
   }
 
-  // Integrity counters (also served via the colza.admin.integrity RPC).
-  [[nodiscard]] const IntegrityStats& integrity() const noexcept {
-    return integrity_;
-  }
+  // The metrics scope this daemon records its integrity.* and colza.server.*
+  // counts into. colza.admin.metrics serves it with the flow's and the viewer
+  // tier's scopes.
+  [[nodiscard]] obs::ScopeId metrics_scope() const noexcept { return scope_; }
 
   // The co-hosted viewer delivery tier (sessions, frame cache, steering).
   [[nodiscard]] viewer::ViewerTier& viewer() noexcept { return *viewer_; }
@@ -246,7 +236,22 @@ class Server {
   std::map<std::uint64_t, std::uint64_t> committed_epoch_;
   // pipeline -> iteration -> replicas (see ReplicaBlock).
   std::map<std::string, std::map<std::uint64_t, ReplicaMap>> replicas_;
-  IntegrityStats integrity_;
+  // This daemon's counts (docs/observability.md): blocks checked at stage,
+  // execute and scrub time, checks that failed, blocks restored from a buddy
+  // copy and the bytes fetched for them, blocks with no intact copy left,
+  // completed scrubber sweeps, and the bytes its stage pulls landed.
+  obs::ScopeId scope_ = obs::MetricsRegistry::global().new_scope();
+  obs::Handle<obs::Counter> verifies_{"integrity.verify", scope_};
+  obs::Handle<obs::Counter> mismatches_{"integrity.mismatch", scope_};
+  obs::Handle<obs::Counter> repairs_{"integrity.repair", scope_};
+  obs::Handle<obs::Counter> repair_bytes_{"integrity.repair_bytes", scope_};
+  obs::Handle<obs::Counter> restage_fallbacks_{"integrity.restage_fallback",
+                                               scope_};
+  obs::Handle<obs::Counter> scrubs_{"integrity.scrub", scope_};
+  obs::Handle<obs::Counter> bytes_pulled_{"colza.server.bytes_pulled",
+                                          scope_};
+  obs::Handle<obs::Counter> replica_bytes_pulled_{
+      "colza.server.replica_bytes_pulled", scope_};
   // Corruptions injected while nothing was staged, waiting for the next
   // stored payload (FIFO).
   std::vector<std::pair<common::integrity::CorruptMode, std::uint64_t>>

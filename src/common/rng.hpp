@@ -9,17 +9,27 @@
 
 namespace colza {
 
+namespace common {
+
+// One step of the splitmix64 generator: a cheap, well-spread 64-bit mix of
+// `x`. It seeds Rng and derives the deterministic picks that need no stream
+// of their own (chaos victims, corrupted bits, viewer churn coins).
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace common
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) noexcept {
     // splitmix64 expansion of the seed into the xoshiro state.
-    std::uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = common::splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

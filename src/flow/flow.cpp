@@ -60,28 +60,12 @@ std::uint64_t ServerFlow::shed_hint_us(std::uint64_t bytes) const noexcept {
   return std::max<std::uint64_t>(drain_ns(over) / 1000, 100);
 }
 
-void ServerFlow::charge(std::uint64_t bytes) {
-  staged_ += bytes;
-  if (staged_ > peak_staged_) peak_staged_ = staged_;
-  obs::MetricsRegistry::global()
-      .watermark("flow.staged_bytes." + std::to_string(self_))
-      .set(staged_);
-}
-
-void ServerFlow::uncharge(std::uint64_t bytes) {
-  staged_ = bytes > staged_ ? 0 : staged_ - bytes;
-  obs::MetricsRegistry::global()
-      .watermark("flow.staged_bytes." + std::to_string(self_))
-      .set(staged_);
-}
-
 std::uint64_t ServerFlow::grant(const std::string& pipeline,
                                 std::uint64_t bytes) {
   const std::uint64_t id = next_grant_id_++;
   in_use_ += bytes;
   grants_.emplace(id, Grant{pipeline, bytes});
-  ++grants_total_;
-  obs::MetricsRegistry::global().counter("flow.grants").inc();
+  grant_count_->inc();
   // Lease: reclaim the credit if no stage consumes it in time; daemon so it
   // never holds the sim open.
   sim_->schedule_after(config_.lease_ttl, [this, id] { on_lease_expired(id); },
@@ -94,7 +78,7 @@ void ServerFlow::on_lease_expired(std::uint64_t grant_id) {
   if (it == grants_.end()) return;  // consumed or released in time
   in_use_ -= it->second.bytes;
   grants_.erase(it);
-  obs::MetricsRegistry::global().counter("flow.lease_expired").inc();
+  lease_expired_->inc();
   pump();
 }
 
@@ -124,8 +108,7 @@ AcquireResult ServerFlow::acquire(const std::string& pipeline,
     return {Status::Ok(), grant(pipeline, bytes)};
   }
   auto shed = [&]() -> AcquireResult {
-    ++sheds_total_;
-    obs::MetricsRegistry::global().counter("flow.sheds").inc();
+    shed_count_->inc();
     return {Status::Busy("server over budget", shed_hint_us(bytes)), 0};
   };
   if (queue_.queued_items() >= config_.max_queue) return shed();
@@ -143,7 +126,7 @@ AcquireResult ServerFlow::acquire(const std::string& pipeline,
 
   auto waiter = std::make_shared<Waiter>(*sim_, pipeline, bytes);
   queue_.push(queue_.tenant(pipeline), waiter, bytes);
-  obs::MetricsRegistry::global().counter("flow.grants_queued").inc();
+  grants_queued_->inc();
   pump();  // the queue may hold only canceled entries ahead of us
   AcquireResult* granted = waiter->outcome.wait_for(allowed);
   if (granted == nullptr) {
@@ -182,16 +165,15 @@ Status ServerFlow::consume(std::uint64_t grant_id, const std::string& pipeline,
   const std::uint64_t kept = in_use_ - reserved - old;
   if (kept > config_.budget_bytes || bytes > config_.budget_bytes - kept) {
     in_use_ -= reserved;
-    ++sheds_total_;
-    obs::MetricsRegistry::global().counter("flow.sheds").inc();
+    shed_count_->inc();
     pump();
     return Status::Busy("stage of " + std::to_string(bytes) +
                             " bytes exceeds remaining budget",
                         shed_hint_us(bytes));
   }
   in_use_ = kept + bytes;
-  uncharge(old);
-  charge(bytes);
+  staged_bytes_->sub(old);
+  staged_bytes_->add(bytes);
   slots[key] = bytes;
   if (reserved + old > bytes) pump();  // net free
   return Status::Ok();
@@ -212,7 +194,7 @@ void ServerFlow::uncharge_block(const std::string& pipeline,
   const std::uint64_t freed = kit->second;
   iit->second.erase(kit);
   in_use_ -= freed;
-  uncharge(freed);
+  staged_bytes_->sub(freed);
   if (freed > 0) pump();
 }
 
@@ -228,7 +210,7 @@ void ServerFlow::free_iteration(const std::string& pipeline,
   pit->second.erase(iit);
   if (pit->second.empty()) charged_.erase(pit);
   in_use_ -= freed;
-  uncharge(freed);
+  staged_bytes_->sub(freed);
   if (freed > 0) pump();
 }
 
@@ -242,7 +224,7 @@ void ServerFlow::free_pipeline(const std::string& pipeline) {
   }
   charged_.erase(pit);
   in_use_ -= freed;
-  uncharge(freed);
+  staged_bytes_->sub(freed);
   if (freed > 0) pump();
 }
 
@@ -261,14 +243,10 @@ json::Value ServerFlow::quota_json() const {
   root["enabled"] = json::Value(enabled());
   root["budget_bytes"] = json::Value(static_cast<double>(config_.budget_bytes));
   root["in_use_bytes"] = json::Value(static_cast<double>(in_use_));
-  root["staged_bytes"] = json::Value(static_cast<double>(staged_));
-  root["peak_staged_bytes"] = json::Value(static_cast<double>(peak_staged_));
   root["pressure_bytes"] = json::Value(static_cast<double>(pressure_));
   root["queue_items"] = json::Value(static_cast<double>(queue_.queued_items()));
   root["queue_bytes"] = json::Value(static_cast<double>(queue_.queued_bytes()));
   root["grants_outstanding"] = json::Value(static_cast<double>(grants_.size()));
-  root["grants_total"] = json::Value(static_cast<double>(grants_total_));
-  root["sheds_total"] = json::Value(static_cast<double>(sheds_total_));
   json::Object weights;
   for (const auto& [name, w] : weights_) {
     weights[name] = json::Value(static_cast<double>(w));
@@ -281,7 +259,7 @@ void ServerFlow::inject_pressure(std::uint64_t bytes) {
   if (!enabled()) return;
   pressure_ += bytes;
   in_use_ += bytes;
-  obs::MetricsRegistry::global().counter("flow.pressure_injected").inc();
+  pressure_injected_->inc();
 }
 
 void ServerFlow::release_pressure() {

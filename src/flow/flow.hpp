@@ -31,6 +31,7 @@
 #include "des/sync.hpp"
 #include "flow/drr.hpp"
 #include "net/address.hpp"
+#include "obs/metrics.hpp"
 
 namespace colza::flow {
 
@@ -100,7 +101,8 @@ class ServerFlow {
   void free_iteration(const std::string& pipeline, std::uint64_t iteration);
   void free_pipeline(const std::string& pipeline);
 
-  // Admin-facing QoS knobs.
+  // Admin-facing QoS knobs. quota_json() serves the live state; the counts
+  // (grants, sheds, staged bytes and their peak) are this flow's metrics.
   void set_weight(const std::string& pipeline, std::uint32_t weight);
   [[nodiscard]] json::Value quota_json() const;
 
@@ -110,16 +112,21 @@ class ServerFlow {
   void release_pressure();
 
   [[nodiscard]] std::uint64_t in_use_bytes() const noexcept { return in_use_; }
-  [[nodiscard]] std::uint64_t staged_bytes() const noexcept { return staged_; }
-  [[nodiscard]] std::uint64_t peak_staged_bytes() const noexcept {
-    return peak_staged_;
+  // Read from this flow's metrics scope.
+  [[nodiscard]] std::uint64_t staged_bytes() const {
+    return staged_bytes_.read().value;
   }
-  [[nodiscard]] std::uint64_t grants_total() const noexcept {
-    return grants_total_;
+  [[nodiscard]] std::uint64_t peak_staged_bytes() const {
+    return staged_bytes_.read().peak;
   }
-  [[nodiscard]] std::uint64_t sheds_total() const noexcept {
-    return sheds_total_;
+  [[nodiscard]] std::uint64_t grants_total() const {
+    return grant_count_.read().value;
   }
+  [[nodiscard]] std::uint64_t sheds_total() const {
+    return shed_count_.read().value;
+  }
+  // The metrics scope this flow records its flow.* counts into.
+  [[nodiscard]] obs::ScopeId metrics_scope() const noexcept { return scope_; }
 
  private:
   struct Waiter {
@@ -141,8 +148,6 @@ class ServerFlow {
   [[nodiscard]] std::uint64_t shed_hint_us(std::uint64_t bytes) const noexcept;
   std::uint64_t grant(const std::string& pipeline, std::uint64_t bytes);
   void on_lease_expired(std::uint64_t grant_id);
-  void charge(std::uint64_t bytes);
-  void uncharge(std::uint64_t bytes);
   // Hand out credits to queued waiters in DRR order while the budget fits.
   void pump();
 
@@ -155,12 +160,17 @@ class ServerFlow {
   net::ProcId self_;
   FlowConfig config_;
   std::uint64_t in_use_ = 0;   // grants + charges + injected pressure
-  std::uint64_t staged_ = 0;   // charges only (real staged bytes)
-  std::uint64_t peak_staged_ = 0;
   std::uint64_t pressure_ = 0;
   std::uint64_t next_grant_id_ = 1;
-  std::uint64_t grants_total_ = 0;
-  std::uint64_t sheds_total_ = 0;
+  obs::ScopeId scope_ = obs::MetricsRegistry::global().new_scope();
+  obs::Handle<obs::Counter> grant_count_{"flow.grants", scope_};
+  obs::Handle<obs::Counter> shed_count_{"flow.sheds", scope_};
+  obs::Handle<obs::Counter> grants_queued_{"flow.grants_queued", scope_};
+  obs::Handle<obs::Counter> lease_expired_{"flow.lease_expired", scope_};
+  obs::Handle<obs::Counter> pressure_injected_{"flow.pressure_injected",
+                                               scope_};
+  // Charges only (real staged bytes), with their high-water mark.
+  obs::Handle<obs::Watermark> staged_bytes_{"flow.staged_bytes", scope_};
   std::map<std::uint64_t, Grant> grants_;
   std::map<std::string, std::map<std::uint64_t, ChargeMap>> charged_;
   std::map<std::string, std::uint32_t> weights_;  // admin-set, for quota_json

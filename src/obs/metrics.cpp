@@ -1,11 +1,18 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace colza::obs {
 namespace {
 
-json::Value histogram_json(const Histogram& h) {
+json::Value metric_json(const Counter& c) {
+  return json::Value(static_cast<double>(c.value));
+}
+
+json::Value metric_json(const Gauge& g) { return json::Value(g.value); }
+
+json::Value metric_json(const Histogram& h) {
   json::Object v;
   v["count"] = json::Value(static_cast<double>(h.count));
   v["sum"] = json::Value(static_cast<double>(h.sum));
@@ -25,6 +32,47 @@ json::Value histogram_json(const Histogram& h) {
   return json::Value(std::move(v));
 }
 
+json::Value metric_json(const Watermark& w) {
+  json::Object v;
+  v["value"] = json::Value(static_cast<double>(w.value));
+  v["peak"] = json::Value(static_cast<double>(w.peak));
+  return json::Value(std::move(v));
+}
+
+// The merge rules of the process-wide view (see metrics.hpp).
+void fold(Counter& into, const Counter& m) { into.value += m.value; }
+void fold(Gauge& into, const Gauge& m) { into.value += m.value; }
+void fold(Histogram& into, const Histogram& m) { into.merge(m); }
+void fold(Watermark& into, const Watermark& m) {
+  into.value += m.value;
+  into.peak = std::max(into.peak, m.peak);
+}
+
+// One section of the document: every name that starts with `prefix`, merged
+// over `scopes` (all of them when null). A name none of them holds is left
+// out.
+template <typename Map>
+json::Value section(const Map& metrics, const std::vector<ScopeId>* scopes,
+                    std::string_view prefix) {
+  using Metric = typename Map::mapped_type::mapped_type;
+  json::Object out;
+  for (auto it = metrics.lower_bound(prefix);
+       it != metrics.end() && it->first.starts_with(prefix); ++it) {
+    Metric total;
+    bool any = false;
+    for (const auto& [scope, m] : it->second) {
+      if (scopes != nullptr &&
+          std::find(scopes->begin(), scopes->end(), scope) == scopes->end()) {
+        continue;
+      }
+      fold(total, m);
+      any = true;
+    }
+    if (any) out.emplace_hint(out.end(), it->first, metric_json(total));
+  }
+  return json::Value(std::move(out));
+}
+
 }  // namespace
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -33,47 +81,21 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second.value;
+  const auto& counters = std::get<Scoped<Counter>>(metrics_);
+  auto it = counters.find(name);
+  if (it == counters.end()) return 0;
+  std::uint64_t total = 0;
+  for (const auto& [scope, c] : it->second) total += c.value;
+  return total;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-const Watermark* MetricsRegistry::find_watermark(
-    const std::string& name) const {
-  auto it = watermarks_.find(name);
-  return it == watermarks_.end() ? nullptr : &it->second;
-}
-
-json::Value MetricsRegistry::to_json() const {
+json::Value MetricsRegistry::merged(const std::vector<ScopeId>* scopes,
+                                    std::string_view prefix) const {
   json::Object root;
-  json::Object counters;
-  for (const auto& [name, c] : counters_) {
-    counters[name] = json::Value(static_cast<double>(c.value));
-  }
-  root["counters"] = json::Value(std::move(counters));
-  json::Object gauges;
-  for (const auto& [name, g] : gauges_) {
-    gauges[name] = json::Value(g.value);
-  }
-  root["gauges"] = json::Value(std::move(gauges));
-  json::Object histograms;
-  for (const auto& [name, h] : histograms_) {
-    histograms[name] = histogram_json(h);
-  }
-  root["histograms"] = json::Value(std::move(histograms));
-  json::Object watermarks;
-  for (const auto& [name, w] : watermarks_) {
-    json::Object v;
-    v["value"] = json::Value(static_cast<double>(w.value));
-    v["peak"] = json::Value(static_cast<double>(w.peak));
-    watermarks[name] = json::Value(std::move(v));
-  }
-  root["watermarks"] = json::Value(std::move(watermarks));
+  root["counters"] = section(std::get<0>(metrics_), scopes, prefix);
+  root["gauges"] = section(std::get<1>(metrics_), scopes, prefix);
+  root["histograms"] = section(std::get<2>(metrics_), scopes, prefix);
+  root["watermarks"] = section(std::get<3>(metrics_), scopes, prefix);
   return json::Value(std::move(root));
 }
 
@@ -96,10 +118,7 @@ std::string MetricsRegistry::dump_json() const {
 }
 
 void MetricsRegistry::reset() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  watermarks_.clear();
+  std::apply([](auto&... metrics) { (metrics.clear(), ...); }, metrics_);
   epochs_.clear();
   ++generation_;
 }

@@ -128,11 +128,11 @@ void Engine::breaker_success(net::ProcId dest) {
 }
 
 void Engine::record_latency(const std::string& name, des::Duration elapsed) {
-  obs::Histogram*& slot = latency_cache_[name];
-  if (slot == nullptr) {
-    slot = &obs::MetricsRegistry::global().histogram("rpc.latency." + name);
+  auto it = latency_.find(name);
+  if (it == latency_.end()) {
+    it = latency_.try_emplace(name, "rpc.latency." + name).first;
   }
-  slot->record(elapsed);
+  it->second->record(elapsed);
 }
 
 void Engine::shutdown() {

@@ -213,10 +213,10 @@ class Engine {
     bool probe_in_flight = false;
   };
   std::map<net::ProcId, Breaker> breakers_;
-  // Cached per-method latency histogram handles ("rpc.latency.<method>"),
-  // so steady-state recording is one hash lookup + pointer bump. Valid as
-  // long as the global registry is not reset() while this engine lives.
-  std::unordered_map<std::string, obs::Histogram*> latency_cache_;
+  // One latency histogram handle per method ("rpc.latency.<method>"), so
+  // steady-state recording is one hash lookup and an increment, and a
+  // registry reset() re-resolves instead of leaving a dangling pointer.
+  std::unordered_map<std::string, obs::Handle<obs::Histogram>> latency_;
   std::uint64_t next_id_ = 1;
   bool stopped_ = false;
 };

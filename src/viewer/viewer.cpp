@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace colza::viewer {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 std::vector<QualityClass> default_classes() {
   return {
@@ -60,8 +54,7 @@ ViewerTier::ViewerTier(net::Process& proc, rpc::Engine& engine,
       render_cv_(proc.sim()),
       pump_cv_(proc.sim()),
       idle_cv_(proc.sim()),
-      delivery_(config_.quantum_bytes),
-      frame_bytes_("viewer.frame_bytes.p" + std::to_string(proc.id())) {
+      delivery_(config_.quantum_bytes) {
   if (config_.classes.empty()) config_.classes = default_classes();
   if (config_.keyframe_interval == 0) config_.keyframe_interval = 1;
   for (const QualityClass& c : config_.classes) {
@@ -92,7 +85,6 @@ std::uint64_t ViewerTier::connect(std::uint32_t quality, net::ProcId remote) {
   s->credit_at = proc_->sim().now();
   sessions_.push_back(std::move(s));
   ++live_sessions_;
-  ++connects_total_;
   connects_->inc();
   sessions_gauge_->set(static_cast<double>(live_sessions_));
   return id;
@@ -106,7 +98,6 @@ bool ViewerTier::disconnect(std::uint64_t session) {
   }
   sessions_[session - 1].reset();
   --live_sessions_;
-  ++disconnects_total_;
   disconnects_->inc();
   sessions_gauge_->set(static_cast<double>(live_sessions_));
   // Let the pump sweep any now-canceled queue entries so quiesce() settles.
@@ -283,7 +274,7 @@ std::size_t ViewerTier::churn(double fraction, std::uint64_t seed) {
   for (std::uint64_t id = 1; id <= sessions_.size(); ++id) {
     if (sessions_[id - 1] == nullptr) continue;
     const double u =
-        static_cast<double>(splitmix64(seed ^ id) >> 11) * 0x1.0p-53;
+        static_cast<double>(common::splitmix64(seed ^ id) >> 11) * 0x1.0p-53;
     if (u < fraction) doomed.push_back(id);
   }
   for (std::uint64_t id : doomed) disconnect(id);
@@ -350,8 +341,6 @@ void ViewerTier::render_loop() {
            st.cache.begin()->first < st.key_iteration) {
       st.cache.erase(st.cache.begin());
     }
-    ++st.renders;
-    ++renders_total_;
     renders_->inc();
     const EncodedFrame& cached = st.cache.at(st.latest);
     for (std::uint64_t sid : st.subscribers) {
@@ -442,8 +431,6 @@ void ViewerTier::deliver(const DeliveryItem& item) {
   // (overdraft) -- otherwise it could never be sent at all.
   const bool affordable = s->credit >= total || s->credit >= c.burst_bytes;
   if (!affordable) {
-    ++s->skips;
-    ++skips_total_;
     skips_->inc();
     if (c.rate_bytes_per_sec == 0) return;  // unrefillable: drop this wakeup
     const std::uint64_t deficit = total - s->credit;
@@ -482,15 +469,10 @@ void ViewerTier::deliver(const DeliveryItem& item) {
     }
   }
   sub->delivered = st.latest;
-  s->frames += n;
-  s->bytes += total;
-  frames_delivered_ += n;
-  bytes_delivered_ += total;
   frames_->inc(n);
   bytes_->inc(total);
-  // Wire-size distribution: what the delta codec actually ships per frame
-  // (stats_json summarizes it as p50/p99). Recorded before the charge --
-  // the `frames` pointers die across the yield.
+  // Wire-size distribution: what the delta codec actually ships per frame.
+  // Recorded before the charge -- the `frames` pointers die across the yield.
   obs::Histogram& hist = *frame_bytes_;
   for (std::size_t i = 0; i < n; ++i) hist.record(frames[i]->wire_bytes());
   const net::ProcId remote = s->remote;
@@ -517,39 +499,6 @@ void ViewerTier::quiesce() {
   idle_cv_.wait(mu_, [this] {
     return pending_renders_ == 0 && delivery_.empty() && credit_waits_ == 0;
   });
-}
-
-json::Value ViewerTier::stats_json() const {
-  json::Object root;
-  root.emplace("sessions", static_cast<double>(live_sessions_));
-  root.emplace("connects", static_cast<double>(connects_total_));
-  root.emplace("disconnects", static_cast<double>(disconnects_total_));
-  root.emplace("renders", static_cast<double>(renders_total_));
-  root.emplace("frames_delivered", static_cast<double>(frames_delivered_));
-  root.emplace("bytes_delivered", static_cast<double>(bytes_delivered_));
-  root.emplace("skips", static_cast<double>(skips_total_));
-  root.emplace("cache_hit_rate", cache_hit_rate());
-  root.emplace("steering_records", static_cast<double>(log_.size()));
-  if (const obs::Histogram* h =
-          obs::MetricsRegistry::global().find_histogram(frame_bytes_.name());
-      h != nullptr && h->count > 0) {
-    root.emplace("frame_bytes_p50", h->approx_quantile(0.5));
-    root.emplace("frame_bytes_p99", h->approx_quantile(0.99));
-  }
-  json::Array streams;
-  for (const auto& [key, id] : stream_ids_) {
-    const Stream& st = streams_[id];
-    json::Object o;
-    o.emplace("pipeline", key.first);
-    o.emplace("camera", static_cast<double>(key.second));
-    o.emplace("renders", static_cast<double>(st.renders));
-    o.emplace("subscribers", static_cast<double>(st.subscribers.size()));
-    o.emplace("latest",
-              st.latest == kNone ? -1.0 : static_cast<double>(st.latest));
-    streams.emplace_back(std::move(o));
-  }
-  root.emplace("streams", std::move(streams));
-  return json::Value(std::move(root));
 }
 
 // ---- RPC surface -----------------------------------------------------------
@@ -639,12 +588,6 @@ void ViewerTier::install_handlers() {
         out.save(st.cache.at(st.key_iteration));
         return Status::Ok();
       });
-
-  engine_->define("colza.viewer.stats",
-                  [this](const rpc::RequestInfo&, InArchive&, OutArchive& out) {
-                    out.save(stats_json().dump());
-                    return Status::Ok();
-                  });
 }
 
 // ---- ViewerClient ----------------------------------------------------------

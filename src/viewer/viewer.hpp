@@ -142,34 +142,29 @@ class ViewerTier {
   [[nodiscard]] std::size_t sessions() const noexcept {
     return live_sessions_;
   }
-  [[nodiscard]] std::uint64_t renders_total() const noexcept {
-    return renders_total_;
+  // Totals, read from this tier's metrics scope.
+  [[nodiscard]] std::uint64_t renders_total() const {
+    return renders_.read().value;
   }
-  [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
-    return frames_delivered_;
+  [[nodiscard]] std::uint64_t frames_delivered() const {
+    return frames_.read().value;
   }
-  [[nodiscard]] std::uint64_t bytes_delivered() const noexcept {
-    return bytes_delivered_;
+  [[nodiscard]] std::uint64_t bytes_delivered() const {
+    return bytes_.read().value;
   }
-  [[nodiscard]] std::uint64_t skips_total() const noexcept {
-    return skips_total_;
+  [[nodiscard]] std::uint64_t skips_total() const {
+    return skips_.read().value;
   }
   // Frame-cache hit rate: every delivered frame is a cache read (hit), every
   // render is the miss that populated it.
-  [[nodiscard]] double cache_hit_rate() const noexcept {
-    const double total =
-        static_cast<double>(frames_delivered_ + renders_total_);
-    return total == 0.0 ? 1.0
-                        : static_cast<double>(frames_delivered_) / total;
+  [[nodiscard]] double cache_hit_rate() const {
+    const double frames = static_cast<double>(frames_delivered());
+    const double total = frames + static_cast<double>(renders_total());
+    return total == 0.0 ? 1.0 : frames / total;
   }
-  [[nodiscard]] json::Value stats_json() const;
-
-  // Registry name of this tier's wire-size histogram. Keyed by proc id so
-  // several tiers in one process keep separate distributions; stats_json()
-  // summarizes this histogram, not a merged process-global one.
-  [[nodiscard]] const std::string& frame_bytes_metric() const noexcept {
-    return frame_bytes_.name();
-  }
+  // The metrics scope this tier records its viewer.* metrics into, so
+  // co-hosted tiers keep separate counts, gauges and frame-size histograms.
+  [[nodiscard]] obs::ScopeId metrics_scope() const noexcept { return scope_; }
 
   // Pauses/resumes a whole quality class (DRR weight; 0 = paused).
   void set_class_weight(const std::string& cls, std::uint32_t weight);
@@ -198,9 +193,6 @@ class ViewerTier {
     net::ProcId remote = net::kInvalidProc;
     std::uint64_t credit = 0;  // token bucket, bytes
     des::Time credit_at = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t skips = 0;
     std::vector<Sub> subs;  // a session watches a handful of streams
 
     [[nodiscard]] Sub* find(StreamId stream) noexcept {
@@ -227,7 +219,6 @@ class ViewerTier {
     std::uint64_t frame_index = 0;              // keyframe cadence counter
     double param = 0.0;                         // steered camera parameter
     std::set<std::uint64_t> subscribers;        // ascending session id
-    std::uint64_t renders = 0;
   };
 
   struct DeliveryItem {
@@ -289,25 +280,23 @@ class ViewerTier {
   std::optional<SteeringLog> replay_;
   std::uint64_t next_seq_ = 1;
 
-  // Totals, recorded into obs metrics as they happen.
-  std::uint64_t renders_total_ = 0;
-  std::uint64_t frames_delivered_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
-  std::uint64_t skips_total_ = 0;
-  std::uint64_t connects_total_ = 0;
-  std::uint64_t disconnects_total_ = 0;
-  obs::Handle<obs::Counter> connects_{"viewer.connects"};
-  obs::Handle<obs::Counter> disconnects_{"viewer.disconnects"};
-  obs::Handle<obs::Gauge> sessions_gauge_{"viewer.sessions"};
-  obs::Handle<obs::Counter> publish_no_producer_{"viewer.publish_no_producer"};
-  obs::Handle<obs::Counter> steering_queued_{"viewer.steering_queued"};
-  obs::Handle<obs::Counter> steering_applied_{"viewer.steering_applied"};
-  obs::Handle<obs::Counter> churned_{"viewer.churned"};
-  obs::Handle<obs::Counter> renders_{"viewer.renders"};
-  obs::Handle<obs::Counter> skips_{"viewer.skips"};
-  obs::Handle<obs::Counter> frames_{"viewer.frames_delivered"};
-  obs::Handle<obs::Counter> bytes_{"viewer.bytes_delivered"};
-  obs::Handle<obs::Histogram> frame_bytes_;  // see frame_bytes_metric()
+  // This tier's metrics, recorded as they happen.
+  obs::ScopeId scope_ = obs::MetricsRegistry::global().new_scope();
+  obs::Handle<obs::Counter> connects_{"viewer.connects", scope_};
+  obs::Handle<obs::Counter> disconnects_{"viewer.disconnects", scope_};
+  obs::Handle<obs::Gauge> sessions_gauge_{"viewer.sessions", scope_};
+  obs::Handle<obs::Counter> publish_no_producer_{"viewer.publish_no_producer",
+                                                 scope_};
+  obs::Handle<obs::Counter> steering_queued_{"viewer.steering_queued", scope_};
+  obs::Handle<obs::Counter> steering_applied_{"viewer.steering_applied",
+                                              scope_};
+  obs::Handle<obs::Counter> churned_{"viewer.churned", scope_};
+  obs::Handle<obs::Counter> renders_{"viewer.renders", scope_};
+  obs::Handle<obs::Counter> skips_{"viewer.skips", scope_};
+  obs::Handle<obs::Counter> frames_{"viewer.frames_delivered", scope_};
+  obs::Handle<obs::Counter> bytes_{"viewer.bytes_delivered", scope_};
+  // Wire size of every delivered frame.
+  obs::Handle<obs::Histogram> frame_bytes_{"viewer.frame_bytes", scope_};
 };
 
 // Process-global lookup from (simulation, proc) to its ViewerTier, so the

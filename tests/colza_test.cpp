@@ -4,6 +4,7 @@
 // simulation runs, and the freeze semantics.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/server.hpp"
+#include "common/integrity.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -366,6 +368,80 @@ TEST(Colza, AdminStatsReflectExecutions) {
 
 
 // ------------------------------------------------------- histogram backend
+
+// Two servers in one simulation keep disjoint counts: a block corrupted on
+// one of them is that server's mismatch and repair alone, the process-wide
+// total is the sum of the two, and a prefix selects by name.
+TEST(Colza, CoHostedServersReportDisjointMetrics) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  ColzaWorld w(2);
+  w.create_everywhere("hist", "histogram",
+                      R"({"field":"v","bins":4,"range_lo":0,"range_hi":4})");
+  w.client_proc->spawn("app", [&] {
+    auto h = DistributedPipelineHandle::lookup(
+        *w.client, w.area->bootstrap().contacts(), "hist");
+    ASSERT_TRUE(h.has_value());
+    h->set_replication(2);
+    ASSERT_TRUE(h->activate(1).ok());
+    for (std::uint64_t b = 0; b < 4; ++b) {
+      vis::UniformGrid g;
+      g.dims = {4, 1, 1};
+      g.point_data.add(
+          vis::DataArray::make<float>("v", std::vector<float>(4, 1.5f)));
+      ASSERT_TRUE(h->stage(1, b, vis::DataSet{g}).ok());
+    }
+    // The victim holds a primary copy; pick 0 rots its first one, and the
+    // other server's replica repairs it at execute.
+    net::ProcId victim = net::kInvalidProc;
+    for (const auto& s : w.area->servers()) {
+      if (!s->pipeline("hist")->integrity_scan(1).empty()) {
+        victim = s->address();
+        break;
+      }
+    }
+    ASSERT_NE(victim, net::kInvalidProc);
+    const auto rot = common::integrity::Registry::corrupt(
+        &w.sim, victim, common::integrity::CorruptMode::bit_flip, 0);
+    ASSERT_EQ(rot.blocks, 1u);
+    ASSERT_TRUE(h->execute(1).ok());
+    ASSERT_TRUE(h->deactivate(1).ok());
+
+    Admin admin(w.client->engine());
+    const auto servers = w.area->alive_addresses();
+    ASSERT_EQ(servers.size(), 2u);
+    std::map<std::string, double> sum;
+    for (net::ProcId s : servers) {
+      auto doc = admin.get_metrics(s, "integrity.");
+      ASSERT_TRUE(doc.has_value()) << doc.status().to_string();
+      for (const auto& [section, metrics] : doc->as_object()) {
+        for (const auto& [name, v] : metrics.as_object()) {
+          EXPECT_EQ(name.rfind("integrity.", 0), 0u) << section << " " << name;
+        }
+      }
+      const json::Value& counters = *doc->find("counters");
+      EXPECT_GT(counters.number_or("integrity.verify", 0), 0.0) << s;
+      const double want = s == victim ? 1.0 : 0.0;
+      EXPECT_EQ(counters.number_or("integrity.mismatch", 0), want) << s;
+      EXPECT_EQ(counters.number_or("integrity.repair", 0), want) << s;
+      for (const auto& [name, v] : counters.as_object()) {
+        sum[name] += v.as_number();
+      }
+    }
+    for (const auto& [name, total] : sum) {
+      EXPECT_EQ(static_cast<double>(reg.counter_value(name)), total) << name;
+    }
+    EXPECT_EQ(reg.counter_value("integrity.mismatch"), 1u);
+
+    auto repairs = admin.get_metrics(victim, "integrity.repair");
+    ASSERT_TRUE(repairs.has_value());
+    const json::Object& names = repairs->find("counters")->as_object();
+    ASSERT_EQ(names.size(), 2u);
+    EXPECT_EQ(names.count("integrity.repair"), 1u);
+    EXPECT_EQ(names.count("integrity.repair_bytes"), 1u);
+  });
+  w.sim.run();
+}
 
 TEST(Histogram, DistributedMatchesSerialReference) {
   ColzaWorld w(3);

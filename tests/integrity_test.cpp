@@ -2,7 +2,8 @@
 // every copy, execute-time verification, repair from buddy replicas, the
 // background scrubber, targeted client re-stage when no intact copy is left,
 // deferred (rot-on-write) chaos corruption, supervisor quarantine of repeat
-// offenders, and the admin integrity endpoint.
+// offenders, and the per-server integrity counts the admin metrics endpoint
+// serves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "common/integrity.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "vis/data.hpp"
 
 namespace colza {
@@ -33,6 +35,11 @@ using common::integrity::CorruptMode;
 using common::integrity::Registry;
 using des::milliseconds;
 using des::seconds;
+
+// One of a server's integrity.* counts, read from its metrics scope.
+std::uint64_t count(const Server& s, const std::string& name) {
+  return obs::MetricsRegistry::global().counter_value(name, s.metrics_scope());
+}
 
 // Staging area with n servers running a catalyst pipeline, one client, and
 // pre-serialized mandelbulb blocks. fixed_scoped_charge pins the wall-clock
@@ -181,8 +188,9 @@ TEST(Integrity, PullDigestCatchesInTransitFlipOnBothCopies) {
               StatusCode::corrupt);
     w.net.set_fault_injector(nullptr);
     for (auto& s : w.area->servers()) {
-      EXPECT_GE(s->integrity().mismatches, 1u) << s->address();
-      EXPECT_EQ(s->integrity().mismatches, s->integrity().verifies);
+      EXPECT_GE(count(*s, "integrity.mismatch"), 1u) << s->address();
+      EXPECT_EQ(count(*s, "integrity.mismatch"),
+                count(*s, "integrity.verify"));
       EXPECT_TRUE(s->pipeline("render")->integrity_scan(1).empty());
       EXPECT_EQ(s->replica_count("render", 1), 0u);
     }
@@ -226,10 +234,10 @@ TEST(Integrity, ExecuteRepairsPrimaryRotFromBuddyReplica) {
   });
   Server* s = w.server(victim);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->integrity().mismatches, 1u);
-  EXPECT_EQ(s->integrity().repairs, 1u);
-  EXPECT_GT(s->integrity().repair_bytes, 0u);
-  EXPECT_EQ(s->integrity().restage_fallbacks, 0u);
+  EXPECT_EQ(count(*s, "integrity.mismatch"), 1u);
+  EXPECT_EQ(count(*s, "integrity.repair"), 1u);
+  EXPECT_GT(count(*s, "integrity.repair_bytes"), 0u);
+  EXPECT_EQ(count(*s, "integrity.restage_fallback"), 0u);
   ASSERT_NE(w.hash_of(1), 0u);
   EXPECT_EQ(w.hash_of(2), w.hash_of(1));
 }
@@ -262,8 +270,8 @@ TEST(Integrity, RepairsTruncatedAndZeroedPayloads) {
   });
   Server* s = w.server(victim);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->integrity().mismatches, 2u);
-  EXPECT_EQ(s->integrity().repairs, 2u);
+  EXPECT_EQ(count(*s, "integrity.mismatch"), 2u);
+  EXPECT_EQ(count(*s, "integrity.repair"), 2u);
   EXPECT_NE(w.hash_of(1), 0u);
 }
 
@@ -298,9 +306,9 @@ TEST(Integrity, ScrubberRepairsReplicaRotAtRest) {
 
     w.sim.sleep_for(milliseconds(300));  // several scrub periods
 
-    EXPECT_GE(s->integrity().scrub_passes, 2u);
-    EXPECT_EQ(s->integrity().mismatches, 1u);
-    EXPECT_EQ(s->integrity().repairs, 1u);
+    EXPECT_GE(count(*s, "integrity.scrub"), 2u);
+    EXPECT_EQ(count(*s, "integrity.mismatch"), 1u);
+    EXPECT_EQ(count(*s, "integrity.repair"), 1u);
 
     ASSERT_TRUE(h->execute(1).ok());
     ASSERT_TRUE(h->deactivate(1).ok());
@@ -350,9 +358,9 @@ TEST(Integrity, NoIntactCopyReportsBlockForTargetedRestage) {
   });
   Server* s = w.server(victim);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->integrity().mismatches, 1u);
-  EXPECT_EQ(s->integrity().repairs, 0u);
-  EXPECT_EQ(s->integrity().restage_fallbacks, 1u);
+  EXPECT_EQ(count(*s, "integrity.mismatch"), 1u);
+  EXPECT_EQ(count(*s, "integrity.repair"), 0u);
+  EXPECT_EQ(count(*s, "integrity.restage_fallback"), 1u);
   ASSERT_NE(w.hash_of(1), 0u);
   EXPECT_EQ(w.hash_of(2), w.hash_of(1));
 }
@@ -409,9 +417,9 @@ TEST(Integrity, ClientHealsIterationWhenAllCopiesRot) {
   std::uint64_t fallbacks = 0;
   std::uint64_t repairs = 0;
   for (auto& s : w.area->servers()) {
-    mismatches += s->integrity().mismatches;
-    fallbacks += s->integrity().restage_fallbacks;
-    repairs += s->integrity().repairs;
+    mismatches += count(*s, "integrity.mismatch");
+    fallbacks += count(*s, "integrity.restage_fallback");
+    repairs += count(*s, "integrity.repair");
   }
   EXPECT_GE(mismatches, w.blocks.size());
   EXPECT_GE(fallbacks, w.blocks.size());
@@ -512,10 +520,10 @@ TEST(Integrity, SupervisorQuarantinesRepeatOffender) {
   Server* s = w.server(victim);
   ASSERT_NE(s, nullptr);
   EXPECT_TRUE(s->alive());  // quarantined, not killed
-  EXPECT_EQ(s->integrity().repairs, 3u);
+  EXPECT_EQ(count(*s, "integrity.repair"), 3u);
 }
 
-// The admin integrity endpoint mirrors the server-side counters.
+// The admin metrics endpoint serves the server's own integrity counts.
 TEST(Integrity, AdminEndpointReportsCounters) {
   IntegrityWorld w(3, 4, /*scrub=*/0);
   net::ProcId victim = 0;
@@ -534,15 +542,17 @@ TEST(Integrity, AdminEndpointReportsCounters) {
     ASSERT_TRUE(h->deactivate(1).ok());
 
     Admin admin(w.client->engine());
-    auto doc = admin.get_integrity(victim);
+    auto doc = admin.get_metrics(victim, "integrity.");
     ASSERT_TRUE(doc.has_value());
-    const auto& obj = doc->as_object();
-    EXPECT_EQ(static_cast<std::uint64_t>(obj.at("mismatches").as_number()),
-              w.server(victim)->integrity().mismatches);
-    EXPECT_EQ(static_cast<std::uint64_t>(obj.at("repairs").as_number()),
-              w.server(victim)->integrity().repairs);
-    EXPECT_GT(obj.at("verifies").as_number(), 0.0);
-    EXPECT_EQ(obj.at("restage_fallbacks").as_number(), 0.0);
+    const json::Value& counters = *doc->find("counters");
+    EXPECT_EQ(counters.number_or("integrity.mismatch", 0),
+              static_cast<double>(count(*s, "integrity.mismatch")));
+    EXPECT_EQ(counters.number_or("integrity.repair", 0),
+              static_cast<double>(count(*s, "integrity.repair")));
+    EXPECT_EQ(counters.number_or("integrity.mismatch", 0), 1.0);
+    EXPECT_EQ(counters.number_or("integrity.repair", 0), 1.0);
+    EXPECT_GT(counters.number_or("integrity.verify", 0), 0.0);
+    EXPECT_EQ(counters.find("integrity.restage_fallback"), nullptr);
   });
 }
 

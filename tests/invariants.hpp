@@ -105,6 +105,29 @@ struct IterationOutcome {
   des::Time finished = 0;         // virtual time leaving it
 };
 
+// A server's integrity counts, read from its metrics scope.
+struct IntegrityCounts {
+  std::uint64_t verifies = 0;           // blocks checked
+  std::uint64_t mismatches = 0;         // checks that failed
+  std::uint64_t repairs = 0;            // blocks restored from a buddy copy
+  std::uint64_t repair_bytes = 0;       // bytes fetched for those repairs
+  std::uint64_t restage_fallbacks = 0;  // blocks with no intact copy left
+  std::uint64_t scrub_passes = 0;       // completed scrubber sweeps
+};
+
+inline IntegrityCounts integrity_counts(const Server& s) {
+  auto n = [&](const char* name) {
+    return obs::MetricsRegistry::global().counter_value(name,
+                                                        s.metrics_scope());
+  };
+  return {n("integrity.verify"),
+          n("integrity.mismatch"),
+          n("integrity.repair"),
+          n("integrity.repair_bytes"),
+          n("integrity.restage_fallback"),
+          n("integrity.scrub")};
+}
+
 struct ServerSummary {
   net::ProcId id = 0;
   bool alive = false;
@@ -118,7 +141,7 @@ struct ServerSummary {
   std::uint64_t flow_sheds = 0;
   // Integrity machinery counters (verifies/mismatches/repairs/...), all zero
   // when no corruption was injected and the scrubber found nothing to fix.
-  IntegrityStats integrity;
+  IntegrityCounts integrity;
 };
 
 struct ScenarioResult {
@@ -306,7 +329,7 @@ inline ScenarioResult run_elastic_mandelbulb(const ScenarioConfig& cfg) {
     }
     sum.peak_staged_bytes = s->flow().peak_staged_bytes();
     sum.flow_sheds = s->flow().sheds_total();
-    sum.integrity = s->integrity();
+    sum.integrity = integrity_counts(*s);
     if (s->alive()) {
       res.viewer_renders += s->viewer().renders_total();
       res.viewer_frames += s->viewer().frames_delivered();

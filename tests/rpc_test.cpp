@@ -310,6 +310,29 @@ TEST_F(RpcTest, RequestExpiredOnArrivalIsNotDispatched) {
 // Per-peer circuit breaker: `breaker_threshold` consecutive timeouts open
 // the circuit (calls fail fast with Unavailable, no waiting), and after the
 // cooldown the next call goes through again and closes it.
+// A registry reset() between two calls of one method: the second call's
+// latency lands in the fresh rpc.latency.<method> histogram (the engine
+// used to keep a raw pointer into the histogram the reset freed).
+TEST_F(RpcTest, LatencyRecordingSurvivesRegistryReset) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  server.define("ping", [](const RequestInfo&, InArchive&, OutArchive&) {
+    return Status::Ok();
+  });
+  client_proc.spawn("caller", [&] {
+    ASSERT_TRUE(client.call<None>(server.self(), "ping").has_value());
+    const obs::Histogram* first = reg.find_histogram("rpc.latency.ping");
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->count, 1u);
+    reg.reset();
+    ASSERT_TRUE(client.call<None>(server.self(), "ping").has_value());
+    const obs::Histogram* second = reg.find_histogram("rpc.latency.ping");
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(second->count, 1u);
+  });
+  sim.run();
+}
+
 TEST_F(RpcTest, BreakerOpensAfterConsecutiveTimeoutsAndRecovers) {
   auto& proc = net.create_process(2);
   EngineConfig cfg;

@@ -223,10 +223,10 @@ TEST(ViewerTier, SingleFlightRenderUnderFanOut) {
   rig.sim.run();
 }
 
-// Every delivered frame lands in the tier's per-proc frame-bytes histogram,
-// and the stats document summarizes the distribution through the log2-bucket
-// quantile approximation (keyframes and deltas differ by orders of
-// magnitude, so min <= p50 <= p99 <= max is a real spread here).
+// Every delivered frame lands in the tier's scoped frame-bytes histogram,
+// whose log2-bucket quantile approximation summarizes the distribution
+// (keyframes and deltas differ by orders of magnitude, so min <= p50 <= p99
+// <= max is a real spread here), and the tier's metrics document carries it.
 TEST(ViewerTier, StatsReportFrameByteQuantiles) {
   obs::MetricsRegistry::global().reset();
   TierRig rig;
@@ -242,8 +242,9 @@ TEST(ViewerTier, StatsReportFrameByteQuantiles) {
     }
     rig.tier.quiesce();
 
-    const obs::Histogram* h = obs::MetricsRegistry::global().find_histogram(
-        rig.tier.frame_bytes_metric());
+    const auto& reg = obs::MetricsRegistry::global();
+    const obs::Histogram* h =
+        reg.find_histogram("viewer.frame_bytes", rig.tier.metrics_scope());
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count, rig.tier.frames_delivered());
     const double p50 = h->approx_quantile(0.5);
@@ -252,11 +253,65 @@ TEST(ViewerTier, StatsReportFrameByteQuantiles) {
     EXPECT_LE(p50, p99);
     EXPECT_LE(p99, static_cast<double>(h->max));
 
-    const std::string dump = rig.tier.stats_json().dump();
-    EXPECT_NE(dump.find("frame_bytes_p50"), std::string::npos);
-    EXPECT_NE(dump.find("frame_bytes_p99"), std::string::npos);
+    const json::Value doc = reg.to_json({rig.tier.metrics_scope()}, "viewer.");
+    const json::Value* hists = doc.find("histograms");
+    ASSERT_NE(hists, nullptr);
+    const json::Value* frame_bytes = hists->find("viewer.frame_bytes");
+    ASSERT_NE(frame_bytes, nullptr);
+    EXPECT_EQ(frame_bytes->number_or("count", 0),
+              static_cast<double>(rig.tier.frames_delivered()));
   });
   rig.sim.run();
+}
+
+// Two tiers in one simulation each record into their own scope: separate
+// frame-byte histograms and separate viewer.sessions gauges, which the
+// process-wide view adds up.
+TEST(ViewerTier, CoHostedTiersKeepSeparateMetrics) {
+  obs::MetricsRegistry::global().reset();
+  TierRig rig;
+  net::Process& proc_b = rig.net.create_process(2);
+  rpc::Engine engine_b(proc_b, net::Profile::mona());
+  ViewerTier tier_b(proc_b, engine_b);
+  rig.tier.set_producer("pipe", test_producer());
+  tier_b.set_producer("pipe", test_producer());
+  rig.proc.spawn("driver", [&] {
+    for (std::size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(rig.tier.subscribe(rig.tier.connect(0), "pipe", 0).ok());
+    }
+    ASSERT_TRUE(tier_b.subscribe(tier_b.connect(0), "pipe", 0).ok());
+    for (std::uint64_t it = 1; it <= 4; ++it) {
+      rig.tier.publish("pipe", it);
+      tier_b.publish("pipe", it);
+      rig.sim.sleep_for(milliseconds(10));
+    }
+    rig.tier.quiesce();
+    tier_b.quiesce();
+  });
+  rig.sim.run();
+
+  const auto& reg = obs::MetricsRegistry::global();
+  ASSERT_NE(rig.tier.metrics_scope(), tier_b.metrics_scope());
+  const obs::Histogram* a =
+      reg.find_histogram("viewer.frame_bytes", rig.tier.metrics_scope());
+  const obs::Histogram* b =
+      reg.find_histogram("viewer.frame_bytes", tier_b.metrics_scope());
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->count, rig.tier.frames_delivered());
+  EXPECT_EQ(b->count, tier_b.frames_delivered());
+  EXPECT_EQ(a->count, 3 * b->count);  // three sessions against one
+
+  auto sessions = [&](const std::vector<obs::ScopeId>& scopes) {
+    const json::Value doc = reg.to_json(scopes, "viewer.sessions");
+    return doc.find("gauges")->number_or("viewer.sessions", -1);
+  };
+  EXPECT_EQ(sessions({rig.tier.metrics_scope()}), 3.0);
+  EXPECT_EQ(sessions({tier_b.metrics_scope()}), 1.0);
+  const json::Value all = reg.to_json();
+  EXPECT_EQ(all.find("gauges")->number_or("viewer.sessions", -1), 4.0);
+  EXPECT_EQ(reg.counter_value("viewer.frames_delivered"),
+            rig.tier.frames_delivered() + tier_b.frames_delivered());
 }
 
 TEST(ViewerTier, PublishWithoutSubscribersRendersNothing) {
