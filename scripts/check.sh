@@ -39,8 +39,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ctest --preset ubsan-tier1
   # The host worker pool (des::parallel_pure) under ThreadSanitizer, driven
   # from inside DES fibers: des_test, apps_test (Mandelbulb planes on the
-  # pool), catalyst_test, render_test, the Fig 3 hash pin and the
-  # bench-smoke runs carry the parallel label.
+  # pool), catalyst_test, render_test, net_test, chaos_test and
+  # integrity_test (multi-chunk hashes and pulls), the Fig 3 hash pin and
+  # the bench-smoke runs (abl_flowctl's 2 MiB stages) carry the parallel
+  # label.
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$jobs"
   ctest --preset tsan-parallel

@@ -34,7 +34,7 @@ DataSpaces::DataSpaces(net::Network& net, Config config,
           in.load(version);
           in.load(block_id);
           in.load(handle);
-          std::vector<std::byte> bytes;
+          common::Bytes bytes;
           Status st = state->engine->rdma_pull(handle, 0, handle.size, bytes);
           if (!st.ok()) return st;
           // Store the raw object in the space; decoding happens when the

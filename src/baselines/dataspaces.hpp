@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "catalyst/catalyst.hpp"
+#include "common/bytes.hpp"
 #include "rpc/engine.hpp"
 #include "simmpi/simmpi.hpp"
 #include "vis/communicator.hpp"
@@ -72,7 +73,7 @@ class DataSpaces {
     // the analysis "gets" and decodes them at execution time, which is the
     // extra data hop DataSpaces pays relative to Colza's pipelines.
     std::map<std::string,
-             std::map<std::uint64_t, std::vector<std::vector<std::byte>>>>
+             std::map<std::uint64_t, std::vector<common::Bytes>>>
         space;
     std::shared_ptr<mona::Communicator> world;
     render::FrameBuffer fb;

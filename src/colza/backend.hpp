@@ -100,7 +100,7 @@ class Backend {
   // Mutable access to the stored payload under (iteration, block_id, field),
   // or nullptr when unknown. Only the chaos corruption hook uses this; the
   // protocol itself never mutates stored bytes in place.
-  [[nodiscard]] virtual std::vector<std::byte>* stored_payload(
+  [[nodiscard]] virtual common::Bytes* stored_payload(
       std::uint64_t /*iteration*/, std::uint64_t /*block_id*/,
       const std::string& /*field*/) {
     return nullptr;

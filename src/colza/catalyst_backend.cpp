@@ -187,7 +187,7 @@ bool CatalystBackend::fetch_block(std::uint64_t iteration,
   return true;
 }
 
-std::vector<std::byte>* CatalystBackend::stored_payload(
+common::Bytes* CatalystBackend::stored_payload(
     std::uint64_t iteration, std::uint64_t block_id,
     const std::string& field) {
   StoredBlock* stored = find_stored(iteration, block_id, field);

@@ -39,7 +39,7 @@ class CatalystBackend final : public Backend {
                                  std::uint64_t block_id,
                                  const std::string& field,
                                  StagedBlock& out) override;
-  [[nodiscard]] std::vector<std::byte>* stored_payload(
+  [[nodiscard]] common::Bytes* stored_payload(
       std::uint64_t iteration, std::uint64_t block_id,
       const std::string& field) override;
 
@@ -80,7 +80,7 @@ class CatalystBackend final : public Backend {
   // repair-driven stage for the same (block, field) replaces the earlier
   // copy instead of compositing the block twice.
   struct StoredBlock {
-    std::vector<std::byte> data;
+    common::Bytes data;
     std::uint32_t checksum = 0;
     net::ProcId sender = net::kInvalidProc;
     std::vector<net::ProcId> copyset;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "colza/placement.hpp"
-#include "common/checksum.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -267,8 +266,9 @@ Status DistributedPipelineHandle::stage_to(
   meta.copyset = copyset;
   // End-to-end integrity: hash the payload once here, at the source; every
   // consumer downstream (RDMA pull, replica promotion, execute-time parse,
-  // background scrub) re-verifies against this value.
-  meta.checksum = common::crc32c(data);
+  // background scrub) re-verifies against this value. A block of two or
+  // more 256 KiB chunks is hashed over the worker pool (net::crc32c_copy).
+  meta.checksum = net::crc32c_copy(data, nullptr);
 
   // Client-side flow control: bound the bytes this pipeline keeps in flight
   // across all copies (AIMD window) before touching any server.

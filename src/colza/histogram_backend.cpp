@@ -208,7 +208,7 @@ bool HistogramBackend::fetch_block(std::uint64_t iteration,
   return true;
 }
 
-std::vector<std::byte>* HistogramBackend::stored_payload(
+common::Bytes* HistogramBackend::stored_payload(
     std::uint64_t iteration, std::uint64_t block_id,
     const std::string& field) {
   StoredBlock* stored = find_stored(iteration, block_id, field);

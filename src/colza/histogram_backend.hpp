@@ -42,7 +42,7 @@ class HistogramBackend final : public Backend {
                                  std::uint64_t block_id,
                                  const std::string& field,
                                  StagedBlock& out) override;
-  [[nodiscard]] std::vector<std::byte>* stored_payload(
+  [[nodiscard]] common::Bytes* stored_payload(
       std::uint64_t iteration, std::uint64_t block_id,
       const std::string& field) override;
 
@@ -71,7 +71,7 @@ class HistogramBackend final : public Backend {
   // at execute() -- behind a fresh CRC check per block -- which also makes
   // execute idempotent across recovery retries.
   struct StoredBlock {
-    std::vector<std::byte> data;
+    common::Bytes data;
     std::uint32_t checksum = 0;
     net::ProcId sender = net::kInvalidProc;
     std::vector<net::ProcId> copyset;

@@ -16,7 +16,7 @@ namespace colza {
 namespace {
 // Damages `data` in place per the chaos mode, leaving its recorded checksum
 // stale. Returns the number of bytes damaged.
-std::size_t mangle_payload(std::vector<std::byte>& data,
+std::size_t mangle_payload(common::Bytes& data,
                            common::integrity::CorruptMode mode,
                            std::uint64_t pick) {
   using common::integrity::CorruptMode;
@@ -196,13 +196,13 @@ bool Server::fetch_from_buddies(
     const std::string& name, std::uint64_t iteration, std::uint64_t block_id,
     const std::string& field, const std::vector<net::ProcId>& copyset,
     std::uint32_t want,
-    const std::function<bool(net::ProcId, std::vector<std::byte>&)>& take) {
+    const std::function<bool(net::ProcId, common::Bytes&)>& take) {
   for (net::ProcId buddy : copyset) {
     if (buddy == proc_->id()) continue;
     auto r = engine_->call_raw(buddy, "colza.fetch_block",
                                pack(name, iteration, block_id, field));
     if (!r.has_value()) continue;
-    std::vector<std::byte> data;
+    common::Bytes data;
     std::uint32_t checksum = 0;
     unpack(*r, data, checksum);
     // The buddy serves its copy unverified (it cannot know its own bytes
@@ -229,7 +229,7 @@ bool Server::repair_block(const std::string& name, Backend* backend,
   span.arg("block", info.block_id);
   return fetch_from_buddies(
       name, iteration, info.block_id, info.field_name, info.copyset,
-      info.checksum, [&](net::ProcId buddy, std::vector<std::byte>& data) {
+      info.checksum, [&](net::ProcId buddy, common::Bytes& data) {
         // Re-stage the verified copy: keyed backend staging replaces the
         // rotten bytes in place. The flow-control charge recorded at the
         // original stage still matches (repair restores the original size),
@@ -328,7 +328,7 @@ void Server::scrub_pass() {
     const auto copyset = rb->copyset;  // rb may dangle across the RPCs below
     (void)fetch_from_buddies(
         name, iteration, key.first, key.second, copyset, rb->checksum,
-        [&](net::ProcId, std::vector<std::byte>& data) {
+        [&](net::ProcId, common::Bytes& data) {
           rb = find_replica();
           if (rb == nullptr) return true;  // deactivated meanwhile: done
           count_repair(data.size());
@@ -346,7 +346,7 @@ common::integrity::CorruptResult Server::corrupt_storage(
   // id order, blocks in scan (sorted-key) order, then the replica store in
   // its own sorted order. Identical state across replayed runs therefore
   // yields the identical victim for a given pick.
-  std::vector<std::vector<std::byte>*> candidates;
+  std::vector<common::Bytes*> candidates;
   for (auto& [name, entry] : pipelines_) {
     for (std::uint64_t iteration : active_set_) {
       for (const auto& info : entry.backend->integrity_scan(iteration)) {
@@ -372,14 +372,14 @@ common::integrity::CorruptResult Server::corrupt_storage(
     result.deferred = true;
     return result;
   }
-  std::vector<std::byte>& data = *candidates[pick % candidates.size()];
+  common::Bytes& data = *candidates[pick % candidates.size()];
   common::integrity::CorruptResult result;
   result.blocks = 1;
   result.bytes = mangle_payload(data, mode, pick);
   return result;
 }
 
-void Server::apply_pending_corrupt(std::vector<std::byte>& data) {
+void Server::apply_pending_corrupt(common::Bytes& data) {
   if (pending_corrupts_.empty() || data.empty()) return;
   const auto [mode, pick] = pending_corrupts_.front();
   pending_corrupts_.erase(pending_corrupts_.begin());

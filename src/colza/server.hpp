@@ -157,7 +157,7 @@ class Server {
   struct ReplicaBlock {
     std::vector<net::ProcId> copyset;
     net::ProcId sender = net::kInvalidProc;
-    std::vector<std::byte> data;
+    common::Bytes data;
     std::uint32_t checksum = 0;  // stage-time CRC32C of `data`
   };
   using ReplicaKey = std::pair<std::uint64_t, std::string>;
@@ -192,7 +192,7 @@ class Server {
       const std::string& name, std::uint64_t iteration, std::uint64_t block_id,
       const std::string& field, const std::vector<net::ProcId>& copyset,
       std::uint32_t want,
-      const std::function<bool(net::ProcId, std::vector<std::byte>&)>& take);
+      const std::function<bool(net::ProcId, common::Bytes&)>& take);
   void count_repair(std::uint64_t bytes);
   // One scrubber sweep over everything staged here: backend slots (via
   // verify_and_repair) and the buddy-replica store (repaired in place by
@@ -208,7 +208,7 @@ class Server {
       common::integrity::CorruptMode mode, std::uint64_t pick);
   // Applies (and consumes) the oldest deferred corruption, if any, to a
   // payload that was just stored and verified.
-  void apply_pending_corrupt(std::vector<std::byte>& data);
+  void apply_pending_corrupt(common::Bytes& data);
 
   net::Process* proc_;
   ServerConfig config_;

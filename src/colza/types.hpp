@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "net/network.hpp"
 
 namespace colza {
@@ -77,7 +78,7 @@ struct StagedBlock {
   std::uint64_t block_id = 0;
   std::string field_name;
   net::ProcId sender = net::kInvalidProc;
-  std::vector<std::byte> data;  // typically a serialized vis::DataSet
+  common::Bytes data;          // typically a serialized vis::DataSet
   std::uint32_t checksum = 0;   // CRC32C of `data` at stage time
   std::vector<net::ProcId> copyset;  // recorded placement ([0] = primary)
 };

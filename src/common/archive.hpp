@@ -66,8 +66,9 @@ class OutArchive {
     write_raw(s.data(), s.size());
   }
 
-  template <typename T>
-  void save(const std::vector<T>& v) {
+  // Any allocator (common::Bytes included): the wire bytes are the same.
+  template <typename T, typename A>
+  void save(const std::vector<T, A>& v) {
     save(static_cast<std::uint64_t>(v.size()));
     if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
       write_raw(v.data(), v.size() * sizeof(T));
@@ -145,8 +146,8 @@ class InArchive {
     read_raw(s.data(), n);
   }
 
-  template <typename T>
-  void load(std::vector<T>& v) {
+  template <typename T, typename A>
+  void load(std::vector<T, A>& v) {
     std::uint64_t n = 0;
     load(n);
     if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {

@@ -6,12 +6,18 @@
 // exact function of the input, so the two paths are bit-identical by
 // construction; common_test compares them bit for bit on every run.
 //
-// Every staged block is hashed twice: by the client, and by the server's
-// RDMA pull as it copies the block (net::Network::rdma_get hashes each
-// 24 KiB chunk, one 3 x 8 KiB block below, just before appending it). So
-// the hardware path is written to run at memory speed. One `crc32` chain is
-// latency-bound: each instruction waits for the previous result (3 cycles)
-// although the core can start one per cycle. So crc32c_hw runs
+// Every staged block is hashed twice: by the client at stage time, and by
+// the server's RDMA pull as it copies the block. Both go through
+// net::crc32c_copy, which runs a block of two or more 256 KiB chunks over
+// the worker pool (des::parallel_pure), one chunk per task, and splices the
+// chunk CRCs in index order with crc32c_splice below; a smaller block, and
+// the tail after the last whole chunk, run on the calling thread, the tail
+// seeded with the spliced prefix. Within a chunk, each 24 KiB piece (one
+// 3 x 8 KiB block below) is hashed and then copied while it is in L1.
+//
+// The hardware path is written to run at memory speed. One `crc32` chain
+// is latency-bound: each instruction waits for the previous result (3
+// cycles) although the core can start one per cycle. So crc32c_hw runs
 // three independent chains over adjacent thirds of each 3 x 8 KiB block,
 // then of each 3 x 256 B block, and finishes the tail with the single
 // chain. The three partial CRCs are spliced back together with the GF(2)
@@ -23,6 +29,10 @@
 // and stored byte-sliced as four 256-entry tables (shift = four lookups).
 // It is still the one hardware path, needs only SSE4.2 (the same dispatch
 // condition as a single chain), and is bit-identical to the table path.
+// The same identity holds for finished CRC32C values (the pre- and
+// post-inversions cancel), which is what crc32c_splice uses; the tables are
+// plain constexpr data, so a CPU without SSE4.2 splices the table kernel's
+// chunk CRCs the same way.
 //
 // The checksum is computed over the serialized dataset bytes at stage time,
 // carried on StageMetadata / replica frames, and re-verified at every read:
@@ -68,7 +78,6 @@ inline std::uint32_t crc32c_scalar(const std::byte* data, std::size_t n,
   return crc;
 }
 
-#if defined(__x86_64__)
 // ---- the zeros operator (compile time) ------------------------------------
 
 // A linear map on the 32-bit raw CRC register over GF(2): entry i is the
@@ -119,8 +128,8 @@ consteval Crc32cShiftTable crc32c_shift_table(std::size_t n) {
   return table;
 }
 
-template <std::size_t Lane>
-inline constexpr Crc32cShiftTable kCrc32cShift = crc32c_shift_table(Lane);
+template <std::size_t N>
+inline constexpr Crc32cShiftTable kCrc32cShift = crc32c_shift_table(N);
 
 inline std::uint32_t crc32c_shift(const Crc32cShiftTable& table,
                                   std::uint32_t crc) noexcept {
@@ -128,6 +137,7 @@ inline std::uint32_t crc32c_shift(const Crc32cShiftTable& table,
          table[2][(crc >> 16) & 0xFFu] ^ table[3][crc >> 24];
 }
 
+#if defined(__x86_64__)
 // Consumes every whole 3 x Lane block at the front of [data, data + n):
 // three chains over the block's thirds, spliced with shift_Lane.
 template <std::size_t Lane>
@@ -193,6 +203,15 @@ inline bool crc32c_hw_usable() noexcept {
   }
 #endif
   return ~detail::crc32c_scalar(data.data(), data.size(), crc);
+}
+
+// crc32c(A || B, seed) from crc_a = crc32c(A, seed) and crc_b = crc32c(B),
+// for |B| == Len: shift_Len(crc_a) ^ crc_b. Len is a compile-time constant,
+// so its zeros-operator table is built by the compiler.
+template <std::size_t Len>
+[[nodiscard]] inline std::uint32_t crc32c_splice(std::uint32_t crc_a,
+                                                 std::uint32_t crc_b) noexcept {
+  return detail::crc32c_shift(detail::kCrc32cShift<Len>, crc_a) ^ crc_b;
 }
 
 }  // namespace colza::common

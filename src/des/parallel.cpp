@@ -156,6 +156,11 @@ Pool& pool() {
 // empty ones. Started first, they sit below everything a run allocates.
 // Nothing here may start a thread in a timed set-up path either: three
 // thread creations cost about as much as a small deployment's whole set-up.
+// The cost of starting first: a process that never uses the pool still runs
+// multi-threaded (malloc arena locks, atomic shared_ptr counts). Of the
+// perfbench workloads that is now viewer-fanout alone: elastic-mandelbulb
+// renders and generates on the pool, and bulk-qos hashes and pulls its
+// 2 MiB blocks on it.
 [[maybe_unused]] const bool g_pool_started = [] {
   if (parallel_width() > 1) (void)pool();
   return true;

@@ -1,10 +1,13 @@
 // Pure host computation on the idle cores, under the one-thread DES.
 //
 // The event loop and every fiber run on one OS thread, so a simulation uses
-// one core. parallel_pure() lets a fiber fan a pure kernel (contouring,
-// rasterizing, ray casting) out over a process-wide pool and join before it
-// returns: the event loop never runs while the pool does, so the timeline
-// stays single-threaded and bit-reproducible.
+// one core. parallel_pure() lets a fiber fan a pure kernel out over a
+// process-wide pool and join before it returns: the event loop never runs
+// while the pool does, so the timeline stays single-threaded and
+// bit-reproducible. The callers: contouring, rasterizing and ray casting
+// (catalyst, render), Mandelbulb generation (apps), and the staging byte
+// path -- the client's stage-time CRC32C and the RDMA pull's copy-and-hash
+// of a block of two or more 256 KiB chunks (net::crc32c_copy).
 //
 // Charging. Inside charge_scoped the region still costs what it would on one
 // core: parallel_pure reports the host time its tasks overlapped (the CPU
@@ -13,7 +16,9 @@
 // to what it measured. Tasks are measured in thread CPU time because a busy
 // host preempts some of a region's threads, and their wall time would
 // charge that wait. A fixed_scoped_charge ignores the replay, like any
-// measurement.
+// measurement. Outside charge_scoped the replayed overlap is never charged:
+// the staging byte path runs there (it was never charged virtual time), so
+// pooling it moves host time only.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,11 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
+#include "des/parallel.hpp"
 
 namespace colza::net {
 
@@ -20,7 +22,44 @@ bool range_within(std::uint64_t offset, std::uint64_t length,
                   std::uint64_t size) noexcept {
   return length <= size && offset <= size - length;
 }
+
+// One parallel_pure task of crc32c_copy: a 2 MiB block is eight.
+constexpr std::size_t kStageChunk = 256 * 1024;
+// One three-lane block of crc32c_hw: hashed, then copied from L1.
+constexpr std::size_t kPiece = 24 * 1024;
+
+std::uint32_t hash_copy_serial(const std::byte* src, std::size_t n,
+                               std::byte* dst, std::uint32_t seed) {
+  std::uint32_t crc = seed;
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t m = std::min(kPiece, n - done);
+    crc = common::crc32c({src + done, m}, crc);
+    if (dst != nullptr) std::memcpy(dst + done, src + done, m);
+    done += m;
+  }
+  return crc;
+}
 }  // namespace
+
+std::uint32_t crc32c_copy(std::span<const std::byte> src, std::byte* dst) {
+  const std::size_t chunks = src.size() / kStageChunk;
+  std::uint32_t crc = 0;
+  std::size_t done = 0;
+  if (chunks >= 2) {
+    std::vector<std::uint32_t> chunk_crc(chunks);
+    des::parallel_pure(chunks, [&](std::size_t i) {
+      const std::size_t at = i * kStageChunk;
+      chunk_crc[i] = hash_copy_serial(src.data() + at, kStageChunk,
+                                      dst != nullptr ? dst + at : nullptr, 0);
+    });
+    for (const std::uint32_t c : chunk_crc) {
+      crc = common::crc32c_splice<kStageChunk>(crc, c);
+    }
+    done = chunks * kStageChunk;
+  }
+  return hash_copy_serial(src.data() + done, src.size() - done,
+                          dst != nullptr ? dst + done : nullptr, crc);
+}
 
 // ---------------------------------------------------------------- Mailbox
 
@@ -285,17 +324,19 @@ des::Duration Network::rdma_delay(Process& self, ProcId owner,
 
 Status Network::rdma_get(Process& self, const BulkRef& ref,
                          std::uint64_t offset, std::uint64_t length,
-                         std::vector<std::byte>& out, const Profile& profile,
+                         common::Bytes& out, const Profile& profile,
                          std::uint32_t* crc) {
   if (!self.alive()) return Status::Unreachable("rdma_get: self is dead");
   if (link_down(self.id(), ref.owner) || link_down(ref.owner, self.id()))
     return Status::Unreachable("rdma_get: link down");
   if (!range_within(offset, length, ref.size))
     return Status::InvalidArgument("rdma_get: range beyond exposed region");
-  // Size the destination before the modeled wait, from the owner's live
+  // Reserve the destination before the modeled wait, from the owner's live
   // region: a `ref` that overstates it fails here, before any allocation.
   // An owner that is gone or a region no longer exposed fails at completion,
-  // after the same modeled wait as a valid pull.
+  // after the same modeled wait as a valid pull. Only reserve: the size
+  // grows after the completion checks below, so a failed pull leaves `out`
+  // exactly as it was.
   if (Process* remote = find(ref.owner); remote != nullptr && remote->alive()) {
     if (auto region = remote->lookup(ref); region.has_value()) {
       if (!range_within(offset, length, region->size()))
@@ -329,24 +370,17 @@ Status Network::rdma_get(Process& self, const BulkRef& ref,
     return Status::NotFound("rdma_get: region not exposed");
   if (!range_within(offset, length, region->size()))
     return Status::InvalidArgument("rdma_get: region shrank");
-  // One pass over the source: each chunk is hashed (which pulls it into L1),
-  // then appended from L1. 24 KiB is one three-lane block of crc32c_hw.
-  constexpr std::uint64_t kChunk = 24 * 1024;
-  const std::byte* src = region->data() + offset;
-  std::uint32_t digest = 0;
-  for (std::uint64_t done = 0; done < length;) {
-    const std::size_t n = std::min(kChunk, length - done);
-    digest = common::crc32c({src + done, n}, digest);
-    out.insert(out.end(), src + done, src + done + n);
-    done += n;
-  }
+  // Every check has passed: grow `out` (no zero-fill) and land the bytes.
+  const std::size_t before = out.size();
+  out.resize(before + length);
+  std::byte* landed = out.data() + before;
+  std::uint32_t digest = crc32c_copy({region->data() + offset, length}, landed);
   if (corrupt_xor != 0 && length != 0) {
     // Injected wire corruption: the transfer "succeeds" with rotted bytes,
     // as a real silent fault would. Detection is the reader's job, so the
     // digest describes the bytes that landed.
-    std::byte* landed = out.data() + (out.size() - length);
     landed[corrupt_offset % length] ^= std::byte{corrupt_xor};
-    digest = common::crc32c({landed, length});
+    digest = crc32c_copy({landed, length}, nullptr);
   }
   if (crc != nullptr) *crc = digest;
   return Status::Ok();

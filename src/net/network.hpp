@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/buffer_pool.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "des/simulation.hpp"
@@ -197,6 +198,17 @@ class Process {
   std::uint64_t next_region_ = 1;
 };
 
+// The staging byte path: returns common::crc32c(src) and, when `dst` is set,
+// also copies `src` to [dst, dst + src.size()). Each 24 KiB piece is hashed
+// and then copied while it is still in L1. A source of two or more 256 KiB
+// chunks runs one des::parallel_pure task per whole chunk and splices the
+// chunk CRCs in index order (common::crc32c_splice); the tail, and a smaller
+// source whole, run on the calling thread, so a small block never wakes the
+// pool. Both whole-block passes of a stage use it: the client's stage-time
+// checksum (dst null) and the server's pull (rdma_get).
+[[nodiscard]] std::uint32_t crc32c_copy(std::span<const std::byte> src,
+                                        std::byte* dst);
+
 class Network {
  public:
   Network(des::Simulation& sim, NetworkConfig config = {});
@@ -245,21 +257,22 @@ class Network {
 
   // ---- one-sided path --------------------------------------------------------
   // Pulls [offset, offset+length) of the remote exposed region and appends
-  // it to `out`, growing it by exactly `length` bytes with no zero-fill.
-  // Blocks the calling fiber for the modeled transfer time. The range is
-  // checked against `ref` and, when the owner's region is live, against that
-  // region before anything is allocated or waited for: `ref` is a wire
-  // value, and a forged length fails fast instead of sizing a buffer. On
-  // failure `out` keeps its size.
+  // it to `out`. Blocks the calling fiber for the modeled transfer time. The
+  // range is checked against `ref` and, when the owner's region is live,
+  // against that region before anything is allocated or waited for: `ref`
+  // is a wire value, and a forged length fails fast instead of sizing a
+  // buffer. `out` is reserved before the modeled wait (so its allocation
+  // lands where it always has in the heap) and resized only after every
+  // completion-time check has passed, with no zero-fill: crc32c_copy writes
+  // every appended byte. On failure `out` keeps its size and bytes.
   //
   // On success `*crc` (when given) is the CRC32C of the appended bytes as
-  // they landed, computed in the same pass as the copy: each 24 KiB chunk is
-  // hashed, then appended while it is still in L1. An injected in-flight
-  // flip is covered (the digest is recomputed over the landed range), so a
-  // reader compares it with the sender's checksum instead of re-reading the
-  // block.
+  // they landed, computed in the same pass as the copy (crc32c_copy). An
+  // injected in-flight flip is covered (the digest is recomputed over the
+  // landed range), so a reader compares it with the sender's checksum
+  // instead of re-reading the block.
   Status rdma_get(Process& self, const BulkRef& ref, std::uint64_t offset,
-                  std::uint64_t length, std::vector<std::byte>& out,
+                  std::uint64_t length, common::Bytes& out,
                   const Profile& profile, std::uint32_t* crc = nullptr);
 
  private:

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/archive.hpp"
+#include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "des/sync.hpp"
 #include "net/network.hpp"
@@ -164,7 +165,7 @@ class Engine {
   // appends [offset, offset+length) of `ref` to `out` and, when `crc` is
   // given, stores the CRC32C of the bytes that landed (net::Network::rdma_get).
   Status rdma_pull(const net::BulkRef& ref, std::uint64_t offset,
-                   std::uint64_t length, std::vector<std::byte>& out,
+                   std::uint64_t length, common::Bytes& out,
                    std::uint32_t* crc = nullptr) {
     return proc_->network().rdma_get(*proc_, ref, offset, length, out,
                                      profile_, crc);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "chaos/chaos.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
@@ -485,7 +486,7 @@ TEST_F(ChaosNetTest, RdmaDropRuleFailsTransferAfterModeledDelay) {
   StatusCode code = StatusCode::ok;
   des::Time done = 0;
   reader.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     code = net.rdma_get(reader, ref, 0, region.size(), out, prof).code();
     done = sim.now();
   });
@@ -501,7 +502,9 @@ TEST_F(ChaosNetTest, RdmaDropRuleFailsTransferAfterModeledDelay) {
 // the exposed region, and the injection record pins down which one (tag =
 // offset, delta = XOR byte) so a replay rots the identical bit. The pull's
 // digest describes the flipped bytes that landed, not the source, so a
-// reader comparing it with the sender's checksum sees the rot.
+// reader comparing it with the sender's checksum sees the rot -- for a
+// small block and for one the pull copies over the worker pool (two 256 KiB
+// chunks and an odd tail).
 TEST_F(ChaosNetTest, RdmaCorruptRuleFlipsOneByteInFlight) {
   Rule r;
   r.kind = RuleKind::corrupt;
@@ -511,35 +514,44 @@ TEST_F(ChaosNetTest, RdmaCorruptRuleFlipsOneByteInFlight) {
 
   auto& owner = net.create_process(0);
   auto& reader = net.create_process(1);
-  std::vector<std::byte> region(256, std::byte{0x5A});
-  const net::BulkRef ref = owner.expose(region);
-  std::vector<std::byte> out;
-  std::uint32_t crc = 0;
-  StatusCode code = StatusCode::internal;
-  reader.spawn("pull", [&] {
-    code =
-        net.rdma_get(reader, ref, 0, region.size(), out, prof, &crc).code();
-  });
-  sim.run();
-
-  ASSERT_EQ(code, StatusCode::ok);  // the rot is silent by design
-  ASSERT_EQ(out.size(), region.size());
-  EXPECT_EQ(crc, common::crc32c(out));
-  EXPECT_NE(crc, common::crc32c(region));
-  std::size_t diffs = 0, diff_at = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] != region[i]) {
-      ++diffs;
-      diff_at = i;
-    }
+  std::vector<std::byte> small(256, std::byte{0x5A});
+  std::vector<std::byte> large(2 * 256 * 1024 + 13);
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<std::byte>((i * 131) >> 3);
   }
-  EXPECT_EQ(diffs, 1u);
-  ASSERT_EQ(engine.log().size(), 1u);
-  const InjectionRecord& rec = engine.log()[0];
-  EXPECT_EQ(rec.kind, RuleKind::corrupt);
-  EXPECT_EQ(rec.tag, diff_at);
-  EXPECT_EQ(static_cast<std::byte>(rec.delta),
-            out[diff_at] ^ region[diff_at]);
+  const std::vector<std::byte>* regions[] = {&small, &large};
+  for (std::size_t n = 0; n < 2; ++n) {
+    const std::vector<std::byte>& region = *regions[n];
+    const net::BulkRef ref = owner.expose(region);
+    common::Bytes out;
+    std::uint32_t crc = 0;
+    StatusCode code = StatusCode::internal;
+    reader.spawn("pull", [&] {
+      code =
+          net.rdma_get(reader, ref, 0, region.size(), out, prof, &crc).code();
+    });
+    sim.run();
+
+    ASSERT_EQ(code, StatusCode::ok) << n;  // the rot is silent by design
+    ASSERT_EQ(out.size(), region.size()) << n;
+    EXPECT_EQ(crc, common::crc32c(out)) << n;
+    EXPECT_NE(crc, common::crc32c(region)) << n;
+    std::size_t diffs = 0, diff_at = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (out[i] != region[i]) {
+        ++diffs;
+        diff_at = i;
+      }
+    }
+    EXPECT_EQ(diffs, 1u) << n;
+    ASSERT_EQ(engine.log().size(), n + 1);
+    const InjectionRecord& rec = engine.log()[n];
+    EXPECT_EQ(rec.kind, RuleKind::corrupt);
+    EXPECT_EQ(rec.tag, diff_at) << n;
+    EXPECT_EQ(static_cast<std::byte>(rec.delta),
+              out[diff_at] ^ region[diff_at])
+        << n;
+  }
 }
 
 // ------------------------------------------------------------- log bounding

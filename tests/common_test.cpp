@@ -14,6 +14,7 @@
 
 #include "common/archive.hpp"
 #include "common/buffer_pool.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -141,6 +142,27 @@ TEST(Archive, CorruptVectorSizeThrows) {
   auto bytes = pack(std::uint64_t{1ULL << 60});
   std::vector<double> v;
   EXPECT_THROW(unpack(bytes, v), std::runtime_error);
+}
+
+// A common::Bytes (the landing buffer that grows without a zero-fill) has
+// the same wire form as std::vector<std::byte>, and either loads the other.
+TEST(Archive, BytesWriteTheSameWireBytesAsByteVectors) {
+  std::vector<std::byte> plain(1000);
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    plain[i] = static_cast<std::byte>(i * 7);
+  const common::Bytes bytes(plain.begin(), plain.end());
+  const auto wire = pack(bytes, std::uint32_t{42});
+  EXPECT_EQ(wire, pack(plain, std::uint32_t{42}));
+
+  common::Bytes loaded = {std::byte{1}, std::byte{2}};
+  std::uint32_t tail = 0;
+  unpack(wire, loaded, tail);
+  EXPECT_EQ(loaded, bytes);
+  EXPECT_EQ(tail, 42u);
+  std::vector<std::byte> back;
+  unpack(pack(loaded), back);
+  EXPECT_EQ(back, plain);
+  EXPECT_EQ(pack(common::Bytes{}), pack(std::vector<std::byte>{}));
 }
 
 // ---------------------------------------------------------------- Rng
@@ -437,6 +459,40 @@ TEST(Crc32c, SeedComposes) {
     EXPECT_EQ(common::crc32c(tail, common::crc32c(head)), want)
         << "split at " << split;
   }
+}
+
+// crc32c_splice joins two CRCs: crc32c(A || B, seed) from crc32c(A, seed)
+// and crc32c(B) when |B| is the splice length -- whichever kernel produced
+// the two parts (the table kernel's parts splice the same way, which is
+// what a CPU without SSE4.2 relies on).
+TEST(Crc32c, SpliceJoinsTwoParts) {
+  Rng rng(29);
+  auto check = [&]<std::size_t Len>() {
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::byte> whole(
+          static_cast<std::size_t>(rng.below(3000)) + Len);
+      for (auto& b : whole) b = static_cast<std::byte>(rng.below(256));
+      const std::size_t split = whole.size() - Len;
+      const std::span<const std::byte> a(whole.data(), split);
+      const std::span<const std::byte> b(whole.data() + split, Len);
+      const auto seed = static_cast<std::uint32_t>(rng());
+      EXPECT_EQ(common::crc32c_splice<Len>(common::crc32c(a, seed),
+                                           common::crc32c(b)),
+                common::crc32c(whole, seed))
+          << "len " << Len << " split " << split;
+      const std::uint32_t a_table =
+          ~common::detail::crc32c_scalar(a.data(), a.size(), ~seed);
+      const std::uint32_t b_table =
+          ~common::detail::crc32c_scalar(b.data(), b.size(), ~0u);
+      EXPECT_EQ(common::crc32c_splice<Len>(a_table, b_table),
+                common::crc32c(whole, seed))
+          << "len " << Len << " (table kernel)";
+    }
+  };
+  check.template operator()<1>();
+  check.template operator()<256>();
+  check.template operator()<24 * 1024>();
+  check.template operator()<256 * 1024>();
 }
 
 TEST(Crc32c, DetectsEverySingleBitFlip) {

@@ -42,12 +42,13 @@ std::uint64_t count(const Server& s, const std::string& name) {
 }
 
 // Staging area with n servers running a catalyst pipeline, one client, and
-// pre-serialized mandelbulb blocks. fixed_scoped_charge pins the wall-clock
-// coupled charge sites so integrity counters are exactly reproducible.
+// pre-serialized mandelbulb blocks of edge^3 points. fixed_scoped_charge
+// pins the wall-clock coupled charge sites so integrity counters are exactly
+// reproducible.
 class IntegrityWorld {
  public:
   IntegrityWorld(int n, std::uint32_t nblocks, des::Duration scrub,
-                 std::uint64_t seed = 21)
+                 std::uint64_t seed = 21, std::uint32_t edge = 10)
       : sim(des::SimConfig{.seed = seed,
                            .fixed_scoped_charge = milliseconds(2)}),
         net(sim) {
@@ -64,7 +65,7 @@ class IntegrityWorld {
           .check();
     }
     apps::MandelbulbParams mb;
-    mb.nx = mb.ny = mb.nz = 10;
+    mb.nx = mb.ny = mb.nz = edge;
     mb.total_blocks = nblocks;
     for (std::uint32_t b = 0; b < nblocks; ++b) {
       blocks.emplace_back(b, vis::serialize_dataset(vis::DataSet{
@@ -199,6 +200,95 @@ TEST(Integrity, PullDigestCatchesInTransitFlipOnBothCopies) {
     ASSERT_TRUE(h->deactivate(1).ok());
   });
   EXPECT_NE(w.hash_of(1), 0u);
+}
+
+// Mandelbulb blocks of 52^3 points serialize to about 550 KiB: two of the
+// 256 KiB chunks net::crc32c_copy hashes (and the pull copies) as separate
+// worker-pool tasks, plus an odd tail it runs on the caller.
+constexpr std::uint32_t kMultiChunkEdge = 52;
+constexpr std::size_t kChunk = 256 * 1024;
+
+// The in-transit check at multi-chunk size: with every pull flipping one
+// byte, the digest spliced from the pooled chunks differs from the client's
+// (equally pooled) checksum on the primary and the buddy copy alike; once
+// the wire is clean the same block lands and renders.
+TEST(Integrity, PullDigestCatchesInTransitFlipOnMultiChunkBlock) {
+  IntegrityWorld w(2, 1, /*scrub=*/0, 21, kMultiChunkEdge);
+  const auto& [id, data] = w.blocks[0];
+  ASSERT_GE(data.size(), 2 * kChunk);
+  ASSERT_NE(data.size() % kChunk, 0u);
+  chaos::Rule wire;
+  wire.kind = chaos::RuleKind::corrupt;
+  wire.box = "rdma";
+  chaos::ChaosEngine engine(chaos::ChaosPlan{21, {wire}});
+  w.run([&] {
+    auto h = w.lookup();
+    ASSERT_TRUE(h.has_value());
+    h->set_replication(2);
+    ASSERT_TRUE(h->activate(1).ok());
+    engine.attach(w.net);
+    EXPECT_EQ(h->stage(1, id, std::span<const std::byte>(data)).code(),
+              StatusCode::corrupt);
+    w.net.set_fault_injector(nullptr);
+    for (auto& s : w.area->servers()) {
+      EXPECT_GE(count(*s, "integrity.mismatch"), 1u) << s->address();
+      EXPECT_EQ(count(*s, "integrity.mismatch"),
+                count(*s, "integrity.verify"));
+      EXPECT_TRUE(s->pipeline("render")->integrity_scan(1).empty());
+      EXPECT_EQ(s->replica_count("render", 1), 0u);
+    }
+    ASSERT_TRUE(h->stage(1, id, std::span<const std::byte>(data)).ok());
+    std::size_t landed = 0;
+    for (auto& s : w.area->servers()) {
+      for (const auto& info : s->pipeline("render")->integrity_scan(1)) {
+        EXPECT_TRUE(info.valid);
+        ++landed;
+      }
+      landed += s->replica_count("render", 1);
+    }
+    EXPECT_EQ(landed, 2u);  // the primary and its buddy copy
+    ASSERT_TRUE(h->execute(1).ok());
+    ASSERT_TRUE(h->deactivate(1).ok());
+  });
+  EXPECT_NE(w.hash_of(1), 0u);
+}
+
+// Buddy repair at multi-chunk size: a bit flipped at rest in a primary slot
+// is repaired from the buddy's copy, whose bytes cross colza.fetch_block
+// into a common::Bytes and verify against the stage-time CRC; the image
+// matches the clean iteration's.
+TEST(Integrity, BuddyRepairsAtRestFlipOnMultiChunkBlock) {
+  IntegrityWorld w(3, 2, /*scrub=*/0, 21, kMultiChunkEdge);
+  ASSERT_GE(w.blocks[0].second.size(), 2 * kChunk);
+  net::ProcId victim = 0;
+  w.run([&] {
+    auto h = w.lookup();
+    ASSERT_TRUE(h.has_value());
+    h->set_replication(2);
+    ASSERT_TRUE(h->activate(1).ok());
+    w.stage_all(*h, 1);
+    ASSERT_TRUE(h->execute(1).ok());
+    ASSERT_TRUE(h->deactivate(1).ok());
+
+    ASSERT_TRUE(h->activate(2).ok());
+    w.stage_all(*h, 2);
+    Server* s = w.first_primary_holder(2);
+    ASSERT_NE(s, nullptr);
+    victim = s->address();
+    auto res = Registry::corrupt(&w.sim, victim, CorruptMode::bit_flip, 0);
+    EXPECT_EQ(res.blocks, 1u);
+    EXPECT_FALSE(res.deferred);
+    ASSERT_TRUE(h->execute(2).ok());
+    ASSERT_TRUE(h->deactivate(2).ok());
+  });
+  Server* s = w.server(victim);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(count(*s, "integrity.mismatch"), 1u);
+  EXPECT_EQ(count(*s, "integrity.repair"), 1u);
+  EXPECT_GE(count(*s, "integrity.repair_bytes"), 2 * kChunk);
+  EXPECT_EQ(count(*s, "integrity.restage_fallback"), 0u);
+  ASSERT_NE(w.hash_of(1), 0u);
+  EXPECT_EQ(w.hash_of(2), w.hash_of(1));
 }
 
 // A bit flipped in a primary backend slot is caught by the execute-time

@@ -2,12 +2,14 @@
 // protocol profiles, NIC contention, RDMA, and process lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
@@ -24,6 +26,12 @@ std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> v(s.size());
   std::memcpy(v.data(), s.data(), s.size());
   return v;
+}
+
+// An RDMA landing buffer holding `s`.
+common::Bytes landing_of(const std::string& s) {
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  return common::Bytes(p, p + s.size());
 }
 
 std::string string_of(std::span<const std::byte> v) {
@@ -231,7 +239,7 @@ TEST_F(NetTest, RdmaGetPullsExposedRegion) {
 
   std::string got;
   client.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     auto st = net.rdma_get(client, ref, 0, data.size(), out, prof);
     ASSERT_TRUE(st.ok()) << st.to_string();
     got = string_of(out);
@@ -248,7 +256,7 @@ TEST_F(NetTest, RdmaGetWithOffset) {
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
     // The pull appends exactly the pulled range after what `out` holds.
-    std::vector<std::byte> out = bytes_of("ab");
+    common::Bytes out = landing_of("ab");
     ASSERT_TRUE(net.rdma_get(client, ref, 3, 4, out, prof).ok());
     ASSERT_TRUE(net.rdma_get(client, ref, 10, 0, out, prof).ok());
     EXPECT_EQ(string_of(out), "ab3456");
@@ -256,25 +264,78 @@ TEST_F(NetTest, RdmaGetWithOffset) {
   sim.run();
 }
 
-// The pull reports the CRC32C of the bytes it appended, computed while
-// copying them: only the appended range, whatever `out` already held, across
-// the 24 KiB chunk boundaries of the copy loop.
-TEST_F(NetTest, RdmaGetDigestCoversOnlyTheAppendedRange) {
-  auto& server = net.create_process(0);
-  auto& client = net.create_process(1);
-  constexpr std::size_t kChunk = 24 * 1024;
-  std::vector<std::byte> data((2u << 20) + 13 + 64);
+// crc32c_copy's two sizes: a 24 KiB piece (hashed, then copied from L1) and
+// a 256 KiB chunk (one worker-pool task; two or more wake the pool).
+constexpr std::size_t kPiece = 24 * 1024;
+constexpr std::size_t kChunk = 256 * 1024;
+
+// Lengths at every boundary crc32c_copy treats differently: empty, a lone
+// byte, around one piece, around one chunk (still serial), around two
+// chunks (the first pooled size, with and without a tail), and a 2 MiB and
+// an 8 MiB block with odd tails.
+const std::vector<std::size_t>& boundary_lengths() {
+  static const std::vector<std::size_t> lengths = {
+      0,          1,           kPiece - 1,           kPiece,
+      kPiece + 1, kChunk - 1,  kChunk,               kChunk + 1,
+      2 * kChunk - 1,          2 * kChunk,           2 * kChunk + 1,
+      (std::size_t{2} << 20) + 13,                   (std::size_t{8} << 20) + 7};
+  return lengths;
+}
+
+// Bytes no two chunks share, so a misordered splice or a skipped copy
+// cannot pass by accident.
+std::vector<std::byte> pattern(std::size_t n) {
+  std::vector<std::byte> v(n);
   std::uint32_t x = 0x9E3779B9u;
-  for (auto& b : data) {
+  for (auto& b : v) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<std::byte>(x >> 24);
   }
+  return v;
+}
+
+// crc32c_copy returns common::crc32c of its source and, given a
+// destination, leaves exactly memcpy's result there: at every boundary
+// length, from every source alignment, without touching a byte around the
+// destination range, and with the same digest when it only hashes.
+TEST(Crc32cCopy, MatchesCrc32cAndMemcpyAtEveryBoundary) {
+  const std::size_t max_len = boundary_lengths().back();
+  const std::vector<std::byte> source = pattern(max_len + 8);
+  constexpr std::size_t kGuard = 16;
+  std::vector<std::byte> dst(max_len + 2 * kGuard);
+  for (const std::size_t length : boundary_lengths()) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::byte> src(source.data() + offset, length);
+      const std::uint32_t want = common::crc32c(src);
+      std::fill(dst.begin(), dst.end(), std::byte{0xC3});
+      EXPECT_EQ(crc32c_copy(src, dst.data() + kGuard), want)
+          << length << " at +" << offset;
+      EXPECT_EQ(std::memcmp(dst.data() + kGuard, src.data(), length), 0)
+          << length << " at +" << offset;
+      for (std::size_t i = 0; i < kGuard; ++i) {
+        ASSERT_EQ(dst[i], std::byte{0xC3}) << length << " at +" << offset;
+        ASSERT_EQ(dst[kGuard + length + i], std::byte{0xC3})
+            << length << " at +" << offset;
+      }
+      EXPECT_EQ(crc32c_copy(src, nullptr), want)
+          << length << " at +" << offset << " (hash only)";
+    }
+  }
+}
+
+// The pull reports the CRC32C of the bytes it appended, computed while
+// copying them: only the appended range, whatever `out` already held, at
+// every piece and chunk boundary of crc32c_copy.
+TEST_F(NetTest, RdmaGetDigestCoversOnlyTheAppendedRange) {
+  auto& server = net.create_process(0);
+  auto& client = net.create_process(1);
+  const std::vector<std::byte> data =
+      pattern(boundary_lengths().back() + 7 * boundary_lengths().size());
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
     std::uint64_t offset = 1;
-    for (std::size_t length : {std::size_t{0}, std::size_t{1}, kChunk - 1,
-                               kChunk, kChunk + 1, (std::size_t{2} << 20) + 13}) {
-      std::vector<std::byte> out = bytes_of("already here");
+    for (const std::size_t length : boundary_lengths()) {
+      common::Bytes out = landing_of("already here");
       const std::size_t before = out.size();
       std::uint32_t crc = 0xDEADBEEFu;
       ASSERT_TRUE(net.rdma_get(client, ref, offset, length, out, prof, &crc)
@@ -294,13 +355,43 @@ TEST_F(NetTest, RdmaGetDigestCoversOnlyTheAppendedRange) {
   sim.run();
 }
 
+// A pull that fails at completion -- its owner died, or unexposed the
+// region, during the modeled wait -- leaves a non-empty destination with
+// its size and bytes. The reserve before the wait happened (the owner was
+// live then); the resize waits for the completion checks.
+TEST_F(NetTest, FailedPullLeavesTheDestinationAsItWas) {
+  auto& client = net.create_process(1);
+  const std::vector<std::byte> data = pattern(2 * kChunk + 3);
+  for (const bool kill : {true, false}) {
+    auto& owner = net.create_process(0);
+    const BulkRef ref = owner.expose(data);
+    client.spawn("pull", [&, ref, kill] {
+      common::Bytes out = landing_of("keep these bytes");
+      const common::Bytes before = out;
+      sim.schedule_after(des::nanoseconds(1), [&owner, ref, kill] {
+        if (kill) {
+          owner.kill();
+        } else {
+          owner.unexpose(ref);
+        }
+      });
+      const Status st = net.rdma_get(client, ref, 0, data.size(), out, prof);
+      EXPECT_EQ(st.code(),
+                kill ? StatusCode::unreachable : StatusCode::not_found);
+      EXPECT_GE(out.capacity(), before.size() + data.size());
+      EXPECT_EQ(out, before);
+    });
+    sim.run();
+  }
+}
+
 TEST_F(NetTest, RdmaGetBeyondRegionFails) {
   auto& server = net.create_process(0);
   auto& client = net.create_process(1);
   std::vector<std::byte> data(16);
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     EXPECT_EQ(net.rdma_get(client, ref, 0, 17, out, prof).code(),
               StatusCode::invalid_argument);
     EXPECT_EQ(net.rdma_get(client, ref, 9, 8, out, prof).code(),
@@ -326,7 +417,7 @@ TEST_F(NetTest, RdmaGetForgedLengthFailsBeforeAllocating) {
     for (std::uint64_t size : {std::uint64_t{4097}, std::uint64_t{1} << 30,
                                std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
       forged.size = size;
-      std::vector<std::byte> out;
+      common::Bytes out;
       EXPECT_EQ(net.rdma_get(client, forged, 0, size, out, prof).code(),
                 StatusCode::invalid_argument)
           << size;
@@ -344,7 +435,7 @@ TEST_F(NetTest, RdmaGetAfterUnexposeFails) {
   BulkRef ref = server.expose(data);
   server.unexpose(ref);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     EXPECT_EQ(net.rdma_get(client, ref, 0, 64, out, prof).code(),
               StatusCode::not_found);
     EXPECT_TRUE(out.empty());
@@ -359,7 +450,7 @@ TEST_F(NetTest, RdmaGetFromDeadOwnerFails) {
   BulkRef ref = server.expose(data);
   client.spawn("pull", [&] {
     server.kill();
-    std::vector<std::byte> out;
+    common::Bytes out;
     EXPECT_EQ(net.rdma_get(client, ref, 0, 64, out, prof).code(),
               StatusCode::unreachable);
   });
@@ -374,11 +465,11 @@ TEST_F(NetTest, RdmaLargeTransferScalesWithSize) {
   BulkRef rl = server.expose(large);
   des::Duration t_small = 0, t_large = 0;
   client.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     des::Time t0 = sim.now();
     ASSERT_TRUE(net.rdma_get(client, rs, 0, small.size(), out, prof).ok());
     t_small = sim.now() - t0;
-    std::vector<std::byte> out2;
+    common::Bytes out2;
     t0 = sim.now();
     ASSERT_TRUE(net.rdma_get(client, rl, 0, large.size(), out2, prof).ok());
     t_large = sim.now() - t0;
@@ -460,7 +551,7 @@ TEST_F(NetTest, RdmaFailsAcrossDownLink) {
   BulkRef ref = server.expose(data);
   net.set_link_down(client.id(), server.id(), true);
   client.spawn("pull", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     EXPECT_EQ(net.rdma_get(client, ref, 0, 32, out, prof).code(),
               StatusCode::unreachable);
   });

@@ -2,9 +2,11 @@
 // fibers, error mapping, timeouts, notifications, shutdown, and RDMA pulls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -232,10 +234,10 @@ TEST_F(RpcTest, RdmaPullThroughEngine) {
   std::vector<std::byte> data(1024, std::byte{0x5a});
   net::BulkRef ref = server_proc.expose(data);
   client_proc.spawn("caller", [&] {
-    std::vector<std::byte> out;
+    common::Bytes out;
     auto st = client.rdma_pull(ref, 0, data.size(), out);
     ASSERT_TRUE(st.ok());
-    EXPECT_EQ(out, data);
+    EXPECT_TRUE(std::ranges::equal(out, data));
   });
   sim.run();
 }
