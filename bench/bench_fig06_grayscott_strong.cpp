@@ -5,8 +5,11 @@
 // Paper setup: 512 client processes on 16 nodes, 2 GB per iteration, staging
 // area of 4..128 servers. This reproduction runs the real reaction-diffusion
 // solver (with halo exchange across client ranks) on a scaled-down grid.
+// `--smoke` runs one scale for three iterations (the tier-1 bench-smoke test,
+// the one tier-1 run of the clipped multi-level isosurface pipeline).
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "apps/gray_scott.hpp"
 #include "bench/bench_util.hpp"
@@ -19,9 +22,15 @@ using namespace colza::bench;
 
 constexpr int kClients = 16;
 constexpr std::uint32_t kGrid = 48;  // global cube edge
-constexpr int kIterations = 6;
 
-double run_scale(int servers, const net::Profile& profile) {
+struct Size {
+  std::vector<int> scales;  // staging-area sizes
+  int iterations;           // discard #1, average the rest
+};
+const Size kFull{{4, 8, 16, 32, 64}, 6};
+const Size kSmoke{{4}, 3};
+
+double run_scale(int servers, const net::Profile& profile, int iterations) {
   HarnessConfig cfg;
   cfg.servers = servers;
   cfg.servers_per_node = 4;
@@ -50,7 +59,7 @@ double run_scale(int servers, const net::Profile& profile) {
                         }));
     return blocks;
   };
-  auto times = harness.run(kIterations, gen);
+  auto times = harness.run(iterations, gen);
   double sum = 0;
   int counted = 0;
   for (const auto& t : times) {
@@ -63,8 +72,9 @@ double run_scale(int servers, const net::Profile& profile) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace colza::bench;
+  const Size& size = smoke_option(argc, argv) ? kSmoke : kFull;
   headline("Fig 6 -- Gray-Scott pipeline, strong scaling, MPI vs MoNA",
            "avg pipeline execution time, fixed total data (paper Fig 6)");
   note("paper: time decreases with servers (~8 s at 4 servers to <1 s at "
@@ -72,9 +82,10 @@ int main() {
 
   Table table({"servers", "mpi_s", "mona_s", "mona_over_mpi"});
   double first_mpi = 0;
-  for (int servers : {4, 8, 16, 32, 64}) {
-    const double mpi = run_scale(servers, net::Profile::cray_mpich());
-    const double mona = run_scale(servers, net::Profile::mona());
+  for (int servers : size.scales) {
+    const double mpi =
+        run_scale(servers, net::Profile::cray_mpich(), size.iterations);
+    const double mona = run_scale(servers, net::Profile::mona(), size.iterations);
     if (servers == 4) first_mpi = mpi;
     table.row({std::to_string(servers), fmt("%.4f", mpi), fmt("%.4f", mona),
                fmt("%.3f", mona / mpi)});

@@ -1,6 +1,7 @@
 #include "catalyst/catalyst.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -52,40 +53,41 @@ render::ColorMapKind colormap_from(const std::string& s,
 }
 
 // Isosurface and slice modes: contours (or slices) this rank's uniform-grid
-// blocks and rasterizes them into fb, over des::parallel_pure. The grids
-// split into min(width, grids) contiguous ranges: range 0 renders into fb,
-// every other range into its own scratch buffer, and after the join the
-// scratch buffers fold into fb in range order under IceT's closest_depth
-// rule. The image is the serial loop's bit for bit: the z-buffer keeps, per
-// pixel, the first fragment of smallest depth (a strict < test), and an
-// in-order strict-< fold of contiguous ranges picks that same fragment.
-// Contouring one cell layer at a time into a reused mesh emits the same
-// triangles in the same order, and no task ever holds a whole block's mesh.
-// The caller charges all of it in one charge_scoped, the rendering at its
-// serial cost (des/parallel.hpp): the scratch buffers must be gone before
-// the fiber yields on its charge, since held across the yield every
-// suspended server keeps a set (+23% peak RSS on perfbench
-// elastic-mandelbulb).
+// blocks and rasterizes them into fb in one des::parallel_pure region of
+// balanced tasks. Task t is one (block, iso level, cell layer) -- one block
+// in slice mode -- numbered in the serial loop's order, and it draws into fb
+// through a render::OrderedTarget, which keeps per pixel the serial loop's
+// first fragment of least depth: the image is the serial loop's bit for bit
+// at any pool width. A plain isosurface goes from the contour kernel
+// straight into the rasterizer; with clipping, a task contours its layer
+// into a mesh, clips it and rasterizes the rest. The caller charges the
+// region in one charge_scoped at its serial cost (des/parallel.hpp).
 void render_surfaces(const PipelineScript& script,
                      std::span<const vis::DataSet> blocks,
                      const vis::Aabb& global, const render::Camera& camera,
                      const render::ColorMap& cmap, render::FrameBuffer& fb,
                      ExecutionStats& stats) {
-  std::vector<const vis::UniformGrid*> grids;
+  struct Task {
+    const vis::UniformGrid* grid;
+    float iso;
+    std::uint32_t layer;
+  };
+  std::vector<Task> tasks;
   for (const auto& block : blocks) {
     // Contouring and slicing need uniform grids.
-    if (const auto* g = std::get_if<vis::UniformGrid>(&block))
-      grids.push_back(g);
+    const auto* grid = std::get_if<vis::UniformGrid>(&block);
+    if (grid == nullptr) continue;
+    stats.cells_processed += grid->cell_count();
+    if (script.mode == RenderMode::slice) {
+      tasks.push_back({grid, 0.0f, 0});
+      continue;
+    }
+    // At least one layer, so a grid without cells still has its field
+    // checked, as isosurface() does.
+    const std::uint32_t layers = std::max<std::uint32_t>(grid->dims[2], 2) - 1;
+    for (float iso : script.iso_values)
+      for (std::uint32_t k = 0; k < layers; ++k) tasks.push_back({grid, iso, k});
   }
-  const std::size_t ranges = std::min(des::parallel_width(), grids.size());
-  std::vector<render::FrameBuffer> scratch;
-  for (std::size_t r = 1; r < ranges; ++r)
-    scratch.emplace_back(fb.width, fb.height);
-  struct Tally {
-    std::size_t cells = 0;
-    std::size_t triangles = 0;
-  };
-  std::vector<Tally> tallies(ranges);
   const vis::Vec3 clip_origin = script.clip_origin == vis::Vec3{0, 0, 0}
                                     ? global.center()
                                     : script.clip_origin;
@@ -93,48 +95,33 @@ void render_surfaces(const PipelineScript& script,
                                      ? global.center()
                                      : script.slice_origin;
 
-  auto render_range = [&](std::size_t r) {
-    render::FrameBuffer& target = r == 0 ? fb : scratch[r - 1];
-    Tally& tally = tallies[r];
+  render::OrderedTarget target(fb);
+  std::atomic<std::size_t> triangles{0};
+  des::parallel_pure(tasks.size(), [&](std::size_t t) {
+    const Task& task = tasks[t];
     auto draw = [&](const vis::TriangleMesh& mesh) {
-      tally.triangles += mesh.triangle_count();
-      render::rasterize(target, mesh, camera, cmap);
+      triangles.fetch_add(mesh.triangle_count(), std::memory_order_relaxed);
+      render::rasterize(target, t, mesh, camera, cmap);
     };
-    vis::TriangleMesh layer;
-    for (std::size_t g = grids.size() * r / ranges;
-         g < grids.size() * (r + 1) / ranges; ++g) {
-      const vis::UniformGrid& grid = *grids[g];
-      tally.cells += grid.cell_count();
-      if (script.mode == RenderMode::slice) {
-        draw(vis::slice(grid, script.field, slice_origin,
-                        script.slice_normal));
-        continue;
-      }
-      // At least one call, so a grid without cells still has its field
-      // checked, as isosurface() does.
-      const std::uint32_t layers = std::max<std::uint32_t>(grid.dims[2], 2) - 1;
-      for (float iso : script.iso_values) {
-        for (std::uint32_t k = 0; k < layers; ++k) {
-          layer.clear();
-          vis::isosurface_layers(grid, script.field, iso, script.color_field,
-                                 k, k + 1, layer);
-          if (script.clip) {
-            draw(vis::clip_by_plane(layer, clip_origin, script.clip_normal));
-          } else {
-            draw(layer);
-          }
-        }
-      }
+    if (script.mode == RenderMode::slice) {
+      draw(vis::slice(*task.grid, script.field, slice_origin,
+                      script.slice_normal));
+    } else if (script.clip) {
+      vis::TriangleMesh layer;
+      vis::isosurface_layers(*task.grid, script.field, task.iso,
+                             script.color_field, task.layer, task.layer + 1,
+                             layer);
+      draw(vis::clip_by_plane(layer, clip_origin, script.clip_normal));
+    } else {
+      triangles.fetch_add(
+          render::rasterize_isosurface(target, t, *task.grid, script.field,
+                                       task.iso, script.color_field,
+                                       task.layer, task.layer + 1, camera,
+                                       cmap),
+          std::memory_order_relaxed);
     }
-  };
-  des::parallel_pure(ranges, render_range);
-
-  for (const render::FrameBuffer& part : scratch)
-    icet::composite_local(fb, part, icet::CompositeOp::closest_depth);
-  for (const Tally& t : tallies) {
-    stats.cells_processed += t.cells;
-    stats.triangles_rendered += t.triangles;
-  }
+  });
+  stats.triangles_rendered += triangles.load(std::memory_order_relaxed);
 }
 
 }  // namespace

@@ -216,14 +216,6 @@ std::vector<std::byte> encode_sparse(const render::FrameBuffer& fb,
   return out;
 }
 
-void composite_local(render::FrameBuffer& dst, const render::FrameBuffer& src,
-                     CompositeOp op) {
-  for (std::size_t p = 0; p < dst.pixel_count(); ++p) {
-    composite_pixel(dst.rgba.data() + p * 4, dst.depth.data() + p,
-                    src.rgba.data() + p * 4, src.depth[p], op);
-  }
-}
-
 void composite_sparse(render::FrameBuffer& fb, std::size_t begin,
                       std::span<const std::byte> encoded, CompositeOp op) {
   const std::byte* r = encoded.data();

@@ -71,10 +71,6 @@ Expected<CompositeStats> composite(render::FrameBuffer& fb,
 // Run-length encodes pixels [begin, end) of `fb`.
 [[nodiscard]] std::vector<std::byte> encode_sparse(
     const render::FrameBuffer& fb, std::size_t begin, std::size_t end);
-// Composites all of `src` into `dst` (same size) pixel by pixel, by the
-// rule composite() applies to a peer's image.
-void composite_local(render::FrameBuffer& dst, const render::FrameBuffer& src,
-                     CompositeOp op);
 // Composites an encoded fragment into fb starting at pixel `begin`.
 void composite_sparse(render::FrameBuffer& fb, std::size_t begin,
                       std::span<const std::byte> encoded, CompositeOp op);

@@ -13,6 +13,7 @@
 #include "common/hash.hpp"
 #include "common/simd.hpp"
 #include "des/parallel.hpp"
+#include "vis/contour.hpp"
 
 namespace colza::render {
 
@@ -92,12 +93,12 @@ void FrameBuffer::clear() {
 }
 
 void FrameBuffer::write_ppm(const std::string& path, Vec3 background) const {
+  std::vector<unsigned char> row(static_cast<std::size_t>(width) * 3);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr)
     throw std::runtime_error("write_ppm: cannot open " + path);
-  std::fprintf(f, "P6\n%d %d\n255\n", width, height);
-  std::vector<unsigned char> row(static_cast<std::size_t>(width) * 3);
-  for (int y = 0; y < height; ++y) {
+  bool ok = std::fprintf(f, "P6\n%d %d\n255\n", width, height) > 0;
+  for (int y = 0; y < height && ok; ++y) {
     for (int x = 0; x < width; ++x) {
       const std::size_t p =
           (static_cast<std::size_t>(y) * static_cast<std::size_t>(width) + static_cast<std::size_t>(x)) * 4;
@@ -110,9 +111,11 @@ void FrameBuffer::write_ppm(const std::string& path, Vec3 background) const {
             channel_byte(v);
       }
     }
-    std::fwrite(row.data(), 1, row.size(), f);
+    ok = std::fwrite(row.data(), 1, row.size(), f) == row.size();
   }
-  std::fclose(f);
+  // fclose flushes what is still buffered, so it can fail too.
+  if (std::fclose(f) != 0 || !ok)
+    throw std::runtime_error("write_ppm: cannot write " + path);
 }
 
 std::uint64_t FrameBuffer::content_hash() const {
@@ -229,6 +232,162 @@ void cover8(bool avx2, const ProjectedVertex& v0, const ProjectedVertex& v1,
   cover8_scalar(v0, v1, v2, inv_area, x0, y, lanes, c);
 }
 
+// One rasterizing call's camera, screen, shading and coverage path. A
+// mesh's triangles and the contour kernel's, as it emits them, both go
+// through project() and triangle().
+class Raster {
+ public:
+  Raster(const FrameBuffer& fb, const Camera& cam, const ColorMap& cmap,
+         bool avx2)
+      : width_(nonempty(fb).width),
+        height_(fb.height),
+        aspect_(static_cast<float>(width_) / static_cast<float>(height_)),
+        cam_(cam),
+        basis_(basis_of(cam)),
+        cmap_(cmap),
+        avx2_(avx2) {}
+
+  [[nodiscard]] ProjectedVertex project(const Vec3& pos, const Vec3& normal,
+                                        float scalar) const {
+    ProjectedVertex v;
+    const Vec3 rel = pos - cam_.eye;
+    const float zc = rel.dot(basis_.forward);  // view-space depth
+    if (zc <= cam_.near_plane) return v;       // behind near plane: cull
+    const float xc = rel.dot(basis_.right);
+    const float yc = rel.dot(basis_.up);
+    const float px = xc / (zc * basis_.tan_half_fov * aspect_);
+    const float py = yc / (zc * basis_.tan_half_fov);
+    v.x = (px * 0.5f + 0.5f) * static_cast<float>(width_);
+    v.y = (0.5f - py * 0.5f) * static_cast<float>(height_);
+    v.z = std::clamp((zc - cam_.near_plane) / (cam_.far_plane - cam_.near_plane),
+                     0.0f, 1.0f);
+    v.normal = normal;
+    v.scalar = scalar;
+    // A NaN sample contours to NaN points; nothing may cast them to int.
+    v.ok = std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+    return v;
+  }
+
+  // Offers every pixel centre the triangle covers to
+  // target.fragment(p, z, color), in row-major order.
+  template <class Target>
+  void triangle(const ProjectedVertex& v0, const ProjectedVertex& v1,
+                const ProjectedVertex& v2, Target& target) const {
+    if (!v0.ok || !v1.ok || !v2.ok) return;
+    const float area =
+        (v1.x - v0.x) * (v2.y - v0.y) - (v2.x - v0.x) * (v1.y - v0.y);
+    if (std::abs(area) < 1e-9f) return;
+    const float inv_area = 1.0f / area;
+
+    // The bounding box is clamped to the screen in float: a vertex far off
+    // screen lies beyond int's range.
+    const float fxmin = std::max(0.0f, std::floor(std::min({v0.x, v1.x, v2.x})));
+    const float fxmax = std::min(static_cast<float>(width_ - 1),
+                                 std::ceil(std::max({v0.x, v1.x, v2.x})));
+    const float fymin = std::max(0.0f, std::floor(std::min({v0.y, v1.y, v2.y})));
+    const float fymax = std::min(static_cast<float>(height_ - 1),
+                                 std::ceil(std::max({v0.y, v1.y, v2.y})));
+    if (fxmin > fxmax || fymin > fymax) return;
+    const int xmin = static_cast<int>(fxmin);
+    const int xmax = static_cast<int>(fxmax);
+    const int ymin = static_cast<int>(fymin);
+    const int ymax = static_cast<int>(fymax);
+
+    Coverage8 cov;
+    for (int y = ymin; y <= ymax; ++y) {
+      for (int x0 = xmin; x0 <= xmax; x0 += 8) {
+        cover8(avx2_, v0, v1, v2, inv_area, x0, y, std::min(8, xmax - x0 + 1),
+               cov);
+        // Covered pixels shade in row-major order, as one at a time.
+        for (unsigned m = cov.covered; m != 0; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          const float w0 = cov.w0[l], w1 = cov.w1[l], w2 = cov.w2[l];
+          const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
+          const std::size_t p = static_cast<std::size_t>(y) *
+                                    static_cast<std::size_t>(width_) +
+                                static_cast<std::size_t>(x0 + l);
+          target.fragment(p, z, [&] {
+            const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
+                               .normalized();
+            const float scalar =
+                w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
+            const float shade = 0.25f + 0.75f * std::abs(n.dot(light_));
+            return cmap_.map(scalar) * shade;
+          });
+        }
+      }
+    }
+  }
+
+  template <class Target>
+  void mesh(const vis::TriangleMesh& mesh, Target& target) const {
+    auto vertex = [&](std::uint32_t idx) {
+      return project(
+          mesh.points[idx],
+          idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1},
+          idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f);
+    };
+    for (std::size_t t = 0; t < mesh.triangle_count(); ++t) {
+      triangle(vertex(mesh.triangles[3 * t]), vertex(mesh.triangles[3 * t + 1]),
+               vertex(mesh.triangles[3 * t + 2]), target);
+    }
+  }
+
+ private:
+  static const FrameBuffer& nonempty(const FrameBuffer& fb) {
+    if (fb.width == 0 || fb.height == 0)
+      throw std::invalid_argument("rasterize: empty framebuffer");
+    return fb;
+  }
+
+  const int width_, height_;
+  const float aspect_;
+  const Camera& cam_;
+  const CameraBasis basis_;
+  const Vec3 light_ = Vec3{0.4f, 0.8f, 0.45f}.normalized();
+  const ColorMap& cmap_;
+  const bool avx2_;
+};
+
+// The serial z-buffer: a pixel takes a fragment only if z < depth, so a
+// fragment whose weights overflowed to NaN never lands.
+struct DirectTarget {
+  FrameBuffer& fb;
+
+  template <class Color>
+  void fragment(std::size_t p, float z, const Color& color) {
+    if (z < fb.depth[p]) fb.put(p, z, color());
+  }
+};
+
+// Task `task`'s fragments into an OrderedTarget.
+struct TaskTarget {
+  OrderedTarget& target;
+  std::size_t task;
+
+  template <class Color>
+  void fragment(std::size_t p, float z, const Color& color) {
+    target.fragment(task, p, z, color);
+  }
+};
+
+// The contour kernel's sink: projects each edge vertex once per cell and
+// rasterizes each triangle as it is emitted.
+struct ContourSink {
+  using Vertex = ProjectedVertex;
+  const Raster& raster;
+  TaskTarget target;
+  std::size_t triangles = 0;
+
+  [[nodiscard]] Vertex vertex(const vis::EdgeVertex& v) const {
+    return raster.project(v.pos, v.normal, v.color);
+  }
+  void triangle(const Vertex& a, const Vertex& b, const Vertex& c) {
+    ++triangles;
+    raster.triangle(a, b, c, target);
+  }
+};
+
 }  // namespace
 
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
@@ -238,87 +397,29 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
 
 void detail::rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                        const Camera& cam, const ColorMap& cmap, bool avx2) {
-  if (fb.width == 0 || fb.height == 0)
-    throw std::invalid_argument("rasterize: empty framebuffer");
-  const CameraBasis basis = basis_of(cam);
-  const float aspect =
-      static_cast<float>(fb.width) / static_cast<float>(fb.height);
-  const Vec3 light = Vec3{0.4f, 0.8f, 0.45f}.normalized();
+  DirectTarget target{fb};
+  Raster(fb, cam, cmap, avx2).mesh(mesh, target);
+}
 
-  auto project = [&](std::size_t idx) {
-    ProjectedVertex v;
-    const Vec3 rel = mesh.points[idx] - cam.eye;
-    const float zc = rel.dot(basis.forward);  // view-space depth
-    if (zc <= cam.near_plane) return v;       // behind near plane: cull
-    const float xc = rel.dot(basis.right);
-    const float yc = rel.dot(basis.up);
-    const float px = xc / (zc * basis.tan_half_fov * aspect);
-    const float py = yc / (zc * basis.tan_half_fov);
-    v.x = (px * 0.5f + 0.5f) * static_cast<float>(fb.width);
-    v.y = (0.5f - py * 0.5f) * static_cast<float>(fb.height);
-    v.z = std::clamp((zc - cam.near_plane) / (cam.far_plane - cam.near_plane),
-                     0.0f, 1.0f);
-    v.normal = idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1};
-    v.scalar = idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f;
-    // A NaN sample contours to NaN points; nothing may cast them to int.
-    v.ok = std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
-    return v;
-  };
+void rasterize(OrderedTarget& target, std::size_t task,
+               const vis::TriangleMesh& mesh, const Camera& cam,
+               const ColorMap& cmap) {
+  TaskTarget to{target, task};
+  Raster(target.framebuffer(), cam, cmap, common::simd::avx2())
+      .mesh(mesh, to);
+}
 
-  Coverage8 cov{};
-  for (std::size_t t = 0; t < mesh.triangle_count(); ++t) {
-    const ProjectedVertex v0 = project(mesh.triangles[3 * t]);
-    const ProjectedVertex v1 = project(mesh.triangles[3 * t + 1]);
-    const ProjectedVertex v2 = project(mesh.triangles[3 * t + 2]);
-    if (!v0.ok || !v1.ok || !v2.ok) continue;
-
-    const float area =
-        (v1.x - v0.x) * (v2.y - v0.y) - (v2.x - v0.x) * (v1.y - v0.y);
-    if (std::abs(area) < 1e-9f) continue;
-    const float inv_area = 1.0f / area;
-
-    // The bounding box is clamped to the screen in float: a vertex far off
-    // screen lies beyond int's range.
-    const float fxmin = std::max(0.0f, std::floor(std::min({v0.x, v1.x, v2.x})));
-    const float fxmax = std::min(static_cast<float>(fb.width - 1),
-                                 std::ceil(std::max({v0.x, v1.x, v2.x})));
-    const float fymin = std::max(0.0f, std::floor(std::min({v0.y, v1.y, v2.y})));
-    const float fymax = std::min(static_cast<float>(fb.height - 1),
-                                 std::ceil(std::max({v0.y, v1.y, v2.y})));
-    if (fxmin > fxmax || fymin > fymax) continue;
-    const int xmin = static_cast<int>(fxmin);
-    const int xmax = static_cast<int>(fxmax);
-    const int ymin = static_cast<int>(fymin);
-    const int ymax = static_cast<int>(fymax);
-
-    for (int y = ymin; y <= ymax; ++y) {
-      for (int x0 = xmin; x0 <= xmax; x0 += 8) {
-        cover8(avx2, v0, v1, v2, inv_area, x0, y, std::min(8, xmax - x0 + 1),
-               cov);
-        // Covered pixels shade in row-major order, as one at a time.
-        for (unsigned m = cov.covered; m != 0; m &= m - 1) {
-          const int l = std::countr_zero(m);
-          const float w0 = cov.w0[l], w1 = cov.w1[l], w2 = cov.w2[l];
-          const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
-          const std::size_t p = static_cast<std::size_t>(y) *
-                                    static_cast<std::size_t>(fb.width) +
-                                static_cast<std::size_t>(x0 + l);
-          if (z >= fb.depth[p]) continue;
-          const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
-                             .normalized();
-          const float scalar =
-              w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
-          const Vec3 base = cmap.map(scalar);
-          const float shade = 0.25f + 0.75f * std::abs(n.dot(light));
-          fb.depth[p] = z;
-          fb.rgba[p * 4 + 0] = base.x * shade;
-          fb.rgba[p * 4 + 1] = base.y * shade;
-          fb.rgba[p * 4 + 2] = base.z * shade;
-          fb.rgba[p * 4 + 3] = 1.0f;
-        }
-      }
-    }
-  }
+std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
+                                 const vis::UniformGrid& grid,
+                                 const std::string& field, float isovalue,
+                                 const std::string& color_field,
+                                 std::uint32_t k_begin, std::uint32_t k_end,
+                                 const Camera& cam, const ColorMap& cmap) {
+  const Raster raster(target.framebuffer(), cam, cmap, common::simd::avx2());
+  ContourSink sink{raster, {target, task}};
+  vis::contour_layers(grid, field, isovalue, color_field, k_begin, k_end,
+                      sink);
+  return sink.triangles;
 }
 
 // ---------------------------------------------------------------- raycaster

@@ -5,12 +5,16 @@
 // Two render paths, matching the paper's pipelines:
 //   * rasterize(): z-buffered triangle rasterization with Lambertian
 //     shading, for isosurface pipelines (Gray-Scott, Mandelbulb);
+//     rasterize_isosurface() feeds it straight from the contour kernel;
 //   * raycast(): front-to-back volume ray marching over a uniform grid,
 //     for the Deep Water Impact volume-rendering pipeline.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,8 +73,17 @@ struct FrameBuffer {
   [[nodiscard]] std::size_t pixel_count() const {
     return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
   }
+  // Writes an opaque fragment to pixel p: depth z, color rgb, alpha 1.
+  void put(std::size_t p, float z, vis::Vec3 rgb) {
+    depth[p] = z;
+    rgba[p * 4 + 0] = rgb.x;
+    rgba[p * 4 + 1] = rgb.y;
+    rgba[p * 4 + 2] = rgb.z;
+    rgba[p * 4 + 3] = 1.0f;
+  }
 
   // Writes a binary PPM (color only, alpha composited over `background`).
+  // Throws std::runtime_error when the file cannot be opened or written.
   void write_ppm(const std::string& path,
                  vis::Vec3 background = {0.08f, 0.08f, 0.12f}) const;
   // FNV-1a hash (common/hash.hpp, legacy image basis) of the quantized
@@ -78,12 +91,76 @@ struct FrameBuffer {
   [[nodiscard]] std::uint64_t content_hash() const;
 };
 
+// A FrameBuffer that the tasks of one parallel region draw into at once,
+// ending with the image that drawing them one after another in index order
+// gives. Each fragment carries its task's index. Under its pixel's lock, a
+// pixel takes a fragment only if z < depth, or if z == depth and the task
+// comes before the one whose fragment the pixel holds: the serial z-buffer's
+// first fragment of least depth, at any pool width and in any claim order.
+// What the framebuffer held before counts as drawn before task 0. The key
+// and lock arrays live as long as the target, so make one per region.
+class OrderedTarget {
+ public:
+  explicit OrderedTarget(FrameBuffer& fb)
+      : fb_(fb),
+        key_(fb.pixel_count(), 0),
+        lock_(std::make_unique<std::atomic_flag[]>(fb.pixel_count())) {}
+  // Tasks on other threads hold its address while a region runs.
+  OrderedTarget(const OrderedTarget&) = delete;
+  OrderedTarget& operator=(const OrderedTarget&) = delete;
+
+  [[nodiscard]] const FrameBuffer& framebuffer() const { return fb_; }
+
+  // Offers pixel p task `task`'s fragment at depth z; color() gives its RGB
+  // and runs only if the pixel takes it. The pixel, its depth and its key
+  // are touched only under the pixel's lock.
+  template <class Color>
+  void fragment(std::size_t task, std::size_t p, float z, const Color& color) {
+    std::atomic_flag& lock = lock_[p];
+    while (lock.test_and_set(std::memory_order_acquire)) {
+      while (lock.test(std::memory_order_relaxed)) {
+      }
+    }
+    const float depth = fb_.depth[p];
+    if (z < depth || (z == depth && task < key_[p])) {
+      fb_.put(p, z, color());
+      key_[p] = task;
+    }
+    lock.clear(std::memory_order_release);
+  }
+
+ private:
+  FrameBuffer& fb_;
+  std::vector<std::size_t> key_;  // per pixel: the task of its fragment
+  std::unique_ptr<std::atomic_flag[]> lock_;
+};
+
 // Rasterizes `mesh` into `fb` (additively with z-test; call fb.clear()
-// first for a fresh frame). Scalars are mapped through `cmap`. On a CPU with
-// AVX2 the coverage test runs on 8 pixel centres of a row at a time; the
-// image is the same bit for bit.
+// first for a fresh frame). Scalars are mapped through `cmap`. A pixel takes
+// a fragment only if its z is below the pixel's depth, so a fragment whose
+// weights overflowed to NaN is dropped. On a CPU with AVX2 the coverage test
+// runs on 8 pixel centres of a row at a time; the image is the same bit for
+// bit.
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& camera, const ColorMap& cmap);
+
+// rasterize() as task `task` of a region drawing into `target`.
+void rasterize(OrderedTarget& target, std::size_t task,
+               const vis::TriangleMesh& mesh, const Camera& camera,
+               const ColorMap& cmap);
+
+// Contours `field` of `grid` at `isovalue` over the cell layers
+// [k_begin, k_end) (vis::contour_layers) and rasterizes each triangle as the
+// contour emits it, as task `task` into `target`. Each edge vertex is
+// projected once per cell and no mesh is built; the image is that of
+// vis::isosurface_layers() into a mesh and then rasterize(). Returns the
+// number of triangles.
+std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
+                                 const vis::UniformGrid& grid,
+                                 const std::string& field, float isovalue,
+                                 const std::string& color_field,
+                                 std::uint32_t k_begin, std::uint32_t k_end,
+                                 const Camera& camera, const ColorMap& cmap);
 
 namespace detail {
 // rasterize() with the coverage path chosen by the caller: 8 pixel centres

@@ -2,141 +2,31 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#include "vis/contour.hpp"
 
 namespace colza::vis {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Marching tetrahedra
+// Appends each contour triangle to a mesh as three new points.
+struct MeshSink {
+  using Vertex = EdgeVertex;
+  TriangleMesh& out;
 
-// Cube corner b: bit0 -> +i, bit1 -> +j, bit2 -> +k.
-// Six tetrahedra sharing the main diagonal corner0 -- corner7; the ring
-// 1,3,2,6,4,5 walks around that diagonal so consecutive entries share a face.
-constexpr std::array<std::array<int, 4>, 6> kTets{{{0, 1, 3, 7},
-                                                   {0, 3, 2, 7},
-                                                   {0, 2, 6, 7},
-                                                   {0, 6, 4, 7},
-                                                   {0, 4, 5, 7},
-                                                   {0, 5, 1, 7}}};
-
-struct Corner {
-  Vec3 pos;
-  Vec3 gradient;
-  float value = 0;
-  float color = 0;
-};
-
-struct EdgeVertex {
-  Vec3 pos;
-  Vec3 normal;
-  float color = 0;
-};
-
-EdgeVertex interpolate(const Corner& a, const Corner& b, float iso) {
-  const float denom = b.value - a.value;
-  const float t =
-      denom != 0 ? std::clamp((iso - a.value) / denom, 0.0f, 1.0f) : 0.5f;
-  EdgeVertex v;
-  v.pos = lerp(a.pos, b.pos, t);
-  v.normal = lerp(a.gradient, b.gradient, t).normalized();
-  v.color = a.color + (b.color - a.color) * t;
-  return v;
-}
-
-void emit_triangle(TriangleMesh& out, const EdgeVertex& a, const EdgeVertex& b,
-                   const EdgeVertex& c) {
-  const auto base = static_cast<std::uint32_t>(out.points.size());
-  for (const EdgeVertex* v : {&a, &b, &c}) {
-    out.points.push_back(v->pos);
-    out.normals.push_back(v->normal);
-    out.scalars.push_back(v->color);
+  Vertex vertex(const EdgeVertex& v) const { return v; }
+  void triangle(const Vertex& a, const Vertex& b, const Vertex& c) {
+    const auto base = static_cast<std::uint32_t>(out.points.size());
+    for (const EdgeVertex* v : {&a, &b, &c}) {
+      out.points.push_back(v->pos);
+      out.normals.push_back(v->normal);
+      out.scalars.push_back(v->color);
+    }
+    for (std::uint32_t i = 0; i < 3; ++i) out.triangles.push_back(base + i);
   }
-  for (std::uint32_t i = 0; i < 3; ++i) out.triangles.push_back(base + i);
-}
-
-// A cell's edge vertices, each interpolated once: interpolate(a, b) and
-// interpolate(b, a) round differently, so the key is the ordered corner
-// pair. Neighbouring tetrahedra of a cell share its diagonal and face edges.
-struct EdgeCache {
-  std::uint64_t have = 0;  // bit 8a + b: vertex of edge a -> b is in v
-  std::array<EdgeVertex, 64> v;
 };
-
-// Contours tetrahedron `tet` (four corner indices) of a cell.
-void march_tet(TriangleMesh& out, const std::array<Corner, 8>& corners,
-               const std::array<int, 4>& tet, float iso, EdgeCache& cache) {
-  int mask = 0;
-  for (int i = 0; i < 4; ++i) {
-    if (corners[static_cast<std::size_t>(tet[static_cast<std::size_t>(i)])]
-            .value > iso)
-      mask |= 1 << i;
-  }
-  if (mask == 0 || mask == 15) return;
-  // Normalize to "one or two corners above"; winding is irrelevant, since
-  // normals come from the gradient.
-  if (__builtin_popcount(static_cast<unsigned>(mask)) > 2) mask = ~mask & 15;
-
-  auto ev = [&](int i, int j) -> const EdgeVertex& {
-    const auto a = static_cast<unsigned>(tet[static_cast<std::size_t>(i)]);
-    const auto b = static_cast<unsigned>(tet[static_cast<std::size_t>(j)]);
-    const unsigned slot = 8 * a + b;
-    if ((cache.have >> slot & 1u) == 0) {
-      cache.v[slot] = interpolate(corners[a], corners[b], iso);
-      cache.have |= std::uint64_t{1} << slot;
-    }
-    return cache.v[slot];
-  };
-
-  switch (mask) {
-    // One corner isolated: one triangle on the three edges leaving it.
-    case 1: emit_triangle(out, ev(0, 1), ev(0, 2), ev(0, 3)); break;
-    case 2: emit_triangle(out, ev(1, 0), ev(1, 2), ev(1, 3)); break;
-    case 4: emit_triangle(out, ev(2, 0), ev(2, 1), ev(2, 3)); break;
-    case 8: emit_triangle(out, ev(3, 0), ev(3, 1), ev(3, 2)); break;
-    // Two corners vs two corners: a quad split into two triangles.
-    case 3: {  // {0,1} above
-      const auto &a = ev(0, 2), &b = ev(0, 3), &d = ev(1, 3), &e = ev(1, 2);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    case 5: {  // {0,2}
-      const auto &a = ev(0, 1), &b = ev(0, 3), &d = ev(2, 3), &e = ev(2, 1);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    case 6: {  // {1,2}
-      const auto &a = ev(1, 0), &b = ev(1, 3), &d = ev(2, 3), &e = ev(2, 0);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    case 9: {  // {0,3}
-      const auto &a = ev(0, 1), &b = ev(0, 2), &d = ev(3, 2), &e = ev(3, 1);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    case 10: {  // {1,3}
-      const auto &a = ev(1, 0), &b = ev(1, 2), &d = ev(3, 2), &e = ev(3, 0);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    case 12: {  // {2,3}
-      const auto &a = ev(2, 0), &b = ev(2, 1), &d = ev(3, 1), &e = ev(3, 0);
-      emit_triangle(out, a, b, d);
-      emit_triangle(out, a, d, e);
-      break;
-    }
-    default: throw std::logic_error("march_tet: unreachable case");
-  }
-}
 
 }  // namespace
 
@@ -151,108 +41,8 @@ void isosurface_layers(const UniformGrid& grid, const std::string& field,
                        float isovalue, const std::string& color_field,
                        std::uint32_t k_begin, std::uint32_t k_end,
                        TriangleMesh& out) {
-  const DataArray* arr = grid.point_data.find(field);
-  if (arr == nullptr)
-    throw std::runtime_error("isosurface: no point field '" + field + "'");
-  const auto values = arr->as<float>();
-  if (values.size() != grid.point_count())
-    throw std::runtime_error("isosurface: field size != point count");
-  const DataArray* color_arr =
-      color_field.empty() ? nullptr : grid.point_data.find(color_field);
-  std::span<const float> colors;
-  if (color_arr != nullptr) colors = color_arr->as<float>();
-
-  const auto [nx, ny, nz] = grid.dims;
-  if (nx < 2 || ny < 2 || nz < 2) return;
-  k_end = std::min(k_end, nz - 1);
-  if (k_begin >= k_end) return;
-
-  // Gradient of the field at a grid point, by central differences (one-sided
-  // at the boundary), in world units.
-  auto gradient = [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
-    auto sample = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c) {
-      return values[grid.point_index(a, b, c)];
-    };
-    Vec3 g;
-    {
-      const std::uint32_t i0 = i > 0 ? i - 1 : i;
-      const std::uint32_t i1 = i + 1 < nx ? i + 1 : i;
-      g.x = (sample(i1, j, k) - sample(i0, j, k)) /
-            (grid.spacing.x * static_cast<float>(i1 - i0 == 0 ? 1 : i1 - i0));
-    }
-    {
-      const std::uint32_t j0 = j > 0 ? j - 1 : j;
-      const std::uint32_t j1 = j + 1 < ny ? j + 1 : j;
-      g.y = (sample(i, j1, k) - sample(i, j0, k)) /
-            (grid.spacing.y * static_cast<float>(j1 - j0 == 0 ? 1 : j1 - j0));
-    }
-    {
-      const std::uint32_t k0 = k > 0 ? k - 1 : k;
-      const std::uint32_t k1 = k + 1 < nz ? k + 1 : k;
-      g.z = (sample(i, j, k1) - sample(i, j, k0)) /
-            (grid.spacing.z * static_cast<float>(k1 - k0 == 0 ? 1 : k1 - k0));
-    }
-    return g;
-  };
-
-  // Neighbouring straddling cells share corners: each point's gradient is
-  // computed once, on first use, into a cache over the layer's two point
-  // planes. Moving up a layer, the upper plane becomes the lower one.
-  const std::size_t plane = static_cast<std::size_t>(nx) * ny;
-  std::vector<Vec3> grads(2 * plane);
-  std::vector<std::uint8_t> have(2 * plane, 0);
-  std::size_t lower = 0;  // offset of plane k's half; the other holds k + 1
-
-  // Corner b of a cell (bit0 -> +i, bit1 -> +j, bit2 -> +k) lies this far
-  // from corner 0 in the field.
-  std::array<std::size_t, 8> offset{};
-  for (std::size_t b = 0; b < 8; ++b)
-    offset[b] = (b & 1u) + ((b >> 1) & 1u) * nx + ((b >> 2) & 1u) * plane;
-
-  std::array<Corner, 8> corners;
-  EdgeCache edges;
-  for (std::uint32_t k = k_begin; k < k_end; ++k) {
-    if (k != k_begin) {
-      // Plane k was the upper plane; plane k + 1 starts with no gradients.
-      lower = plane - lower;
-      std::fill_n(have.begin() + static_cast<std::ptrdiff_t>(plane - lower),
-                  plane, std::uint8_t{0});
-    }
-    for (std::uint32_t j = 0; j + 1 < ny; ++j) {
-      for (std::uint32_t i = 0; i + 1 < nx; ++i) {
-        // Quick reject: all corner values on one side of the isovalue.
-        const std::size_t base = grid.point_index(i, j, k);
-        bool any_above = false, any_below = false;
-        for (std::size_t b = 0; b < 8; ++b) {
-          const float v = values[base + offset[b]];
-          any_above |= v > isovalue;
-          any_below |= v <= isovalue;
-          corners[b].value = v;
-        }
-        if (!any_above || !any_below) continue;
-        for (std::size_t b = 0; b < 8; ++b) {
-          const std::uint32_t ci = i + static_cast<std::uint32_t>(b & 1u);
-          const std::uint32_t cj = j + static_cast<std::uint32_t>((b >> 1) & 1u);
-          const std::uint32_t ck = k + static_cast<std::uint32_t>((b >> 2) & 1u);
-          auto& corner = corners[b];
-          corner.pos = grid.point(ci, cj, ck);
-          const std::size_t slot =
-              (ck == k ? lower : plane - lower) +
-              static_cast<std::size_t>(cj) * nx + ci;
-          if (have[slot] == 0) {
-            grads[slot] = gradient(ci, cj, ck);
-            have[slot] = 1;
-          }
-          corner.gradient = grads[slot];
-          corner.color =
-              colors.empty() ? corner.value : colors[base + offset[b]];
-        }
-        edges.have = 0;
-        for (const auto& tet : kTets)
-          march_tet(out, corners, tet, isovalue, edges);
-      }
-    }
-  }
+  MeshSink sink{out};
+  contour_layers(grid, field, isovalue, color_field, k_begin, k_end, sink);
 }
 
 TriangleMesh slice(const UniformGrid& grid, const std::string& field,

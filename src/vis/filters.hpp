@@ -1,10 +1,10 @@
 // Visualization filters (the mini-VTK filter set used by the Catalyst-style
 // pipelines):
 //   * isosurface(): iso-contour of a scalar field on a uniform grid, via
-//     marching tetrahedra (each hexahedral cell is split into 6 tetrahedra
-//     around its main diagonal). Produces a triangle soup with gradient
-//     normals and an interpolated color scalar; isosurface_layers() contours
-//     a range of cell layers into a caller-owned mesh.
+//     marching tetrahedra (vis/contour.hpp's kernel, appending to a mesh).
+//     Produces a triangle soup with gradient normals and an interpolated
+//     color scalar; isosurface_layers() contours a range of cell layers into
+//     a caller-owned mesh.
 //   * clip_by_plane(): keeps the half-space dot(p - origin, normal) <= 0,
 //     re-triangulating intersected triangles (the paper's Gray-Scott
 //     pipeline combines isosurfaces with clipping, Fig 3a).

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 namespace colza::vis {
 
@@ -19,6 +20,15 @@ Expected<File> open(const std::string& path) {
   if (f == nullptr)
     return Status::Internal("cannot open '" + path + "' for writing");
   return f;
+}
+
+// Closes a written file: Internal if any write to it failed, or the flush
+// that fclose does.
+Status finish(File f, const std::string& path) {
+  const bool failed = std::ferror(f.get()) != 0;
+  if (std::fclose(f.release()) != 0 || failed)
+    return Status::Internal("cannot write '" + path + "'");
+  return Status::Ok();
 }
 
 void header(std::FILE* f, const char* dataset) {
@@ -54,7 +64,7 @@ Status write_legacy_vtk(const std::string& path, const UniformGrid& grid) {
   for (const auto& a : grid.point_data.arrays()) {
     if (a.type() == DataType::f32) write_float_field(f->get(), a);
   }
-  return Status::Ok();
+  return finish(std::move(*f), path);
 }
 
 Status write_legacy_vtk(const std::string& path,
@@ -85,7 +95,7 @@ Status write_legacy_vtk(const std::string& path,
       if (a.type() == DataType::f32) write_float_field(f->get(), a);
     }
   }
-  return Status::Ok();
+  return finish(std::move(*f), path);
 }
 
 Status write_legacy_vtk(const std::string& path, const TriangleMesh& mesh) {
@@ -109,7 +119,7 @@ Status write_legacy_vtk(const std::string& path, const TriangleMesh& mesh) {
     for (float v : mesh.scalars)
       std::fprintf(f->get(), "%g\n", static_cast<double>(v));
   }
-  return Status::Ok();
+  return finish(std::move(*f), path);
 }
 
 }  // namespace colza::vis

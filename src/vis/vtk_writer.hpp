@@ -11,6 +11,9 @@
 
 namespace colza::vis {
 
+// Each writer returns Internal when the file cannot be opened or any write
+// to it fails (a full disk included).
+
 // STRUCTURED_POINTS with every point field of the grid.
 Status write_legacy_vtk(const std::string& path, const UniformGrid& grid);
 

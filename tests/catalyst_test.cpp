@@ -3,6 +3,7 @@
 // dependency-injection equivalence at the heart of the paper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,6 +14,7 @@
 
 #include "apps/mandelbulb.hpp"
 #include "catalyst/catalyst.hpp"
+#include "common/rng.hpp"
 #include "des/parallel.hpp"
 #include "des/simulation.hpp"
 #include "mona/mona.hpp"
@@ -602,6 +604,85 @@ TEST(CatalystExecute, ImageIsBitIdenticalToTheSerialLoop) {
       EXPECT_EQ(got.triangles, want.triangles)
           << name << ", " << count << " blocks";
     }
+  }
+}
+
+// render::OrderedTarget keeps, per pixel, the first fragment of least depth
+// in task order, whatever order the tasks draw in. The depth-tie scene's
+// (block, layer) tasks, drawn one after another on this thread in index
+// order, reversed and in seeded permutations, give the serial loop's rgba
+// and depth bytes each time: straight from the contour, and through the
+// clip path's meshes. A plain z-buffer drawn in reverse differs, so the
+// scene does hold ties.
+TEST(OrderedTarget, AnyTaskOrderGivesTheSerialImage) {
+  PipelineScript tied = PipelineScript::mandelbulb();
+  tied.color_field = "v";
+  tied.range_hi = 0.5f;
+  tied.image_width = 72;
+  tied.image_height = 56;
+  PipelineScript clipped = tied;
+  clipped.clip = true;
+  clipped.clip_normal = {1.0f, 0.3f, -0.2f};
+  const std::vector<vis::DataSet> blocks = tied_blocks(5);
+
+  vis::Aabb global;
+  for (const auto& b : blocks) global.extend(vis::dataset_bounds(b));
+  const render::Camera camera = render::Camera::framing(global);
+  struct Task {
+    const vis::UniformGrid* grid;
+    std::uint32_t layer;
+  };
+  std::vector<Task> tasks;
+  for (const auto& b : blocks) {
+    const auto& grid = std::get<vis::UniformGrid>(b);
+    for (std::uint32_t k = 0; k + 1 < grid.dims[2]; ++k)
+      tasks.push_back({&grid, k});
+  }
+  std::vector<std::vector<std::size_t>> orders(2);
+  for (std::size_t t = 0; t < tasks.size(); ++t) orders[0].push_back(t);
+  orders[1].assign(orders[0].rbegin(), orders[0].rend());
+  Rng rng(29);
+  for (int s = 0; s < 6; ++s) {
+    orders.push_back(orders[0]);
+    std::shuffle(orders.back().begin(), orders.back().end(), rng);
+  }
+
+  for (const PipelineScript& script : {tied, clipped}) {
+    const Rendered want = serial_reference(script, blocks);
+    const render::ColorMap cmap{script.colormap, script.range_lo,
+                                script.range_hi};
+    const float iso = script.iso_values.at(0);
+    auto layer_mesh = [&](const Task& task) {
+      vis::TriangleMesh mesh;
+      vis::isosurface_layers(*task.grid, script.field, iso, script.color_field,
+                             task.layer, task.layer + 1, mesh);
+      return script.clip ? vis::clip_by_plane(mesh, global.center(),
+                                              script.clip_normal)
+                         : mesh;
+    };
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+      render::FrameBuffer fb(script.image_width, script.image_height);
+      render::OrderedTarget target(fb);
+      for (const std::size_t t : orders[o]) {
+        const Task& task = tasks[t];
+        if (script.clip) {
+          render::rasterize(target, t, layer_mesh(task), camera, cmap);
+        } else {
+          (void)render::rasterize_isosurface(
+              target, t, *task.grid, script.field, iso, script.color_field,
+              task.layer, task.layer + 1, camera, cmap);
+        }
+      }
+      EXPECT_TRUE(same_bytes(fb.rgba, want.fb.rgba))
+          << "clip " << script.clip << ", order " << o << ": rgba";
+      EXPECT_TRUE(same_bytes(fb.depth, want.fb.depth))
+          << "clip " << script.clip << ", order " << o << ": depth";
+    }
+    render::FrameBuffer plain(script.image_width, script.image_height);
+    for (const std::size_t t : orders[1])
+      render::rasterize(plain, layer_mesh(tasks[t]), camera, cmap);
+    EXPECT_FALSE(same_bytes(plain.rgba, want.fb.rgba))
+        << "clip " << script.clip;
   }
 }
 

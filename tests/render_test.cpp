@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -177,6 +179,91 @@ TEST(Rasterize, NonFiniteVerticesAreSkipped) {
   EXPECT_EQ(got.depth, want.depth);
 }
 
+// A triangle with finite vertices about 1e19 world units off-axis: the
+// products in its weights overflow to infinity, the weights become NaN, and
+// every pixel of its clamped box -- here the whole frame -- gets a fragment
+// of NaN depth. The depth test drops them: depth never holds NaN, and
+// drawing the triangle before or after a normal one gives the same bytes.
+TEST(Rasterize, NanWeightFragmentsAreDropped) {
+  vis::TriangleMesh far, good;
+  far.points = {{-1e19f, -1e19f, 0}, {1e19f, 0, 0}, {0, 1e19f, 0}};
+  far.triangles = {0, 1, 2};
+  good.points = {{-1, -1, 0.5f}, {1, -1, 0.5f}, {0, 1, 0.5f}};
+  good.scalars = {0.2f, 0.6f, 0.9f};
+  good.triangles = {0, 1, 2};
+  Camera cam;
+  cam.eye = {0, 0, 4};
+  cam.target = {0, 0, 0};
+  const ColorMap cm{ColorMapKind::grayscale, 0, 1};
+  auto same = [](const FrameBuffer& a, const FrameBuffer& b) {
+    return std::memcmp(a.rgba.data(), b.rgba.data(),
+                       a.rgba.size() * sizeof(float)) == 0 &&
+           std::memcmp(a.depth.data(), b.depth.data(),
+                       a.depth.size() * sizeof(float)) == 0;
+  };
+  for (const bool avx2 : {false, common::simd::avx2()}) {
+    FrameBuffer alone(32, 32), want(32, 32), before(32, 32), after(32, 32);
+    detail::rasterize(alone, far, cam, cm, avx2);
+    EXPECT_TRUE(same(alone, FrameBuffer(32, 32))) << "avx2 " << avx2;
+    detail::rasterize(want, good, cam, cm, avx2);
+    EXPECT_GT(active_pixels(want), 0);
+    detail::rasterize(before, far, cam, cm, avx2);
+    detail::rasterize(before, good, cam, cm, avx2);
+    detail::rasterize(after, good, cam, cm, avx2);
+    detail::rasterize(after, far, cam, cm, avx2);
+    EXPECT_TRUE(same(before, want)) << "avx2 " << avx2;
+    EXPECT_TRUE(same(after, want)) << "avx2 " << avx2;
+    for (const FrameBuffer* fb : {&alone, &before, &after}) {
+      EXPECT_EQ(std::count_if(fb->depth.begin(), fb->depth.end(),
+                              [](float d) { return std::isnan(d); }),
+                0);
+    }
+  }
+}
+
+// Within one task a pixel keeps the first of equally deep fragments, as the
+// serial z-buffer does, and what the framebuffer held before counts as drawn
+// before task 0: the same triangle drawn a second time, brighter, in the
+// same task or over earlier content, leaves the first one's bytes.
+TEST(OrderedTarget, EqualDepthKeepsTheEarlierFragment) {
+  vis::TriangleMesh dark, twice;
+  dark.points = {{-1, -1, 0}, {1, -1, 0}, {0, 1, 0}};
+  dark.scalars = {0.2f, 0.2f, 0.2f};
+  dark.triangles = {0, 1, 2};
+  twice = dark;
+  twice.points.insert(twice.points.end(), dark.points.begin(),
+                      dark.points.end());
+  twice.scalars.insert(twice.scalars.end(), {0.9f, 0.9f, 0.9f});
+  twice.triangles.insert(twice.triangles.end(), {3, 4, 5});
+  Camera cam;
+  cam.eye = {0, 0, 4};
+  cam.target = {0, 0, 0};
+  const ColorMap cm{ColorMapKind::grayscale, 0, 1};
+  FrameBuffer want(32, 32);
+  rasterize(want, dark, cam, cm);
+  ASSERT_GT(active_pixels(want), 0);
+
+  FrameBuffer same_task(32, 32);
+  {
+    OrderedTarget target(same_task);
+    rasterize(target, 0, twice, cam, cm);
+  }
+  FrameBuffer over_earlier(32, 32);
+  rasterize(over_earlier, dark, cam, cm);
+  {
+    OrderedTarget target(over_earlier);
+    rasterize(target, 0, twice, cam, cm);
+  }
+  for (const FrameBuffer* got : {&same_task, &over_earlier}) {
+    EXPECT_EQ(std::memcmp(got->rgba.data(), want.rgba.data(),
+                          want.rgba.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(got->depth.data(), want.depth.data(),
+                          want.depth.size() * sizeof(float)),
+              0);
+  }
+}
+
 // ---- AVX2 coverage vs the scalar test
 //
 // The test camera looks down -z from (0, 0, 4): its basis is exact, so a
@@ -317,7 +404,9 @@ TEST(Rasterize, Avx2CoverageMatchesScalar) {
     }
   }
   // A vertex so far off screen that the area's products overflow: the area
-  // and every weight are NaN, so each pixel of the clamped box passes.
+  // and every weight are NaN, so each pixel of the clamped box passes the
+  // coverage test, and the depth test drops its NaN depth.
+  const std::size_t first_overflowing = meshes.size();
   for (float far : {1e21f, -3e21f}) {
     vis::TriangleMesh mesh;
     mesh.points = {near_screen(far, far, 0.0f), near_screen(20, 10, 0.5f),
@@ -335,7 +424,11 @@ TEST(Rasterize, Avx2CoverageMatchesScalar) {
       FrameBuffer scalar(kCoverW, kCoverH), avx2(kCoverW, kCoverH);
       detail::rasterize(scalar, meshes[m], cam, cmap, false);
       detail::rasterize(avx2, meshes[m], cam, cmap, true);
-      EXPECT_GT(active_pixels(scalar), 0);
+      if (m < first_overflowing) {
+        EXPECT_GT(active_pixels(scalar), 0) << "mesh " << m;
+      } else {
+        EXPECT_EQ(active_pixels(scalar), 0) << "mesh " << m;
+      }
       EXPECT_EQ(std::memcmp(avx2.rgba.data(), scalar.rgba.data(),
                             scalar.rgba.size() * sizeof(float)),
                 0)
@@ -422,6 +515,22 @@ TEST(FrameBuffer, PpmRoundTripOnDisk) {
   EXPECT_EQ(std::string(magic), "P6");
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+// /dev/full opens but takes no byte: the write fails, and write_ppm throws
+// as it does for a path it cannot open.
+TEST(FrameBuffer, PpmWriteToFullDeviceThrows) {
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  ASSERT_NE(probe, nullptr) << "the write, not the open, must fail";
+  std::fclose(probe);
+  FrameBuffer fb(8, 8);
+  try {
+    fb.write_ppm("/dev/full");
+    ADD_FAILURE() << "write_ppm reported success on /dev/full";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot write"), std::string::npos)
+        << e.what();
+  }
 }
 
 // A NaN sample's neighbours shade with a NaN normal: such a channel

@@ -751,5 +751,25 @@ TEST(VtkWriter, UnwritablePathFails) {
   EXPECT_FALSE(write_legacy_vtk("/no/such/dir/x.vtk", g).ok());
 }
 
+// /dev/full opens but takes no byte: every writer returns Internal instead of
+// reporting the lost data as written.
+TEST(VtkWriter, FullDeviceFails) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  ASSERT_NE(probe, nullptr) << "the write, not the open, must fail";
+  std::fclose(probe);
+  const UniformGrid g = sphere_grid(9, {4, 4, 4});
+  UnstructuredGrid u;
+  u.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+  const std::uint32_t tet[] = {0, 1, 2, 3};
+  u.add_cell(CellType::tetra, tet);
+  for (const Status& s : {write_legacy_vtk("/dev/full", g),
+                          write_legacy_vtk("/dev/full", u),
+                          write_legacy_vtk("/dev/full", isosurface(g, "dist", 2.5f))}) {
+    EXPECT_EQ(s.code(), StatusCode::internal) << s.to_string();
+    EXPECT_NE(s.to_string().find("cannot write"), std::string::npos)
+        << s.to_string();
+  }
+}
+
 }  // namespace
 }  // namespace colza::vis
