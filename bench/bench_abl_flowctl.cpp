@@ -165,7 +165,7 @@ CaseResult run_case(const Size& size, bool flow_on, std::uint32_t weight_a,
       auto h = DistributedPipelineHandle::lookup(
           *t.client, area.bootstrap().contacts(), t.pipe);
       h.status().check();
-      if (flow_on) h->set_flow_control(FlowClientOptions{.enabled = true});
+      if (flow_on) h->set_flow_control(FlowClientOptions{.enabled = true, .aimd = {}});
       std::vector<std::byte> data(kBlockBytes, std::byte{0x5A});
       std::uint64_t it = first_iteration;
       while (sim.now() < w1) {

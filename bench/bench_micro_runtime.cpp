@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/mandelbulb.hpp"
+#include "catalyst/catalyst.hpp"
 #include "mona/mona.hpp"
 #include "common/archive.hpp"
 #include "des/simulation.hpp"
@@ -20,6 +21,7 @@
 #include "net/network.hpp"
 #include "render/render.hpp"
 #include "rpc/engine.hpp"
+#include "vis/contour.hpp"
 #include "vis/filters.hpp"
 
 namespace {
@@ -152,6 +154,78 @@ void BM_Rasterize(benchmark::State& state) {
                           static_cast<std::int64_t>(mesh.triangle_count()));
 }
 BENCHMARK(BM_Rasterize);
+
+// Perfbench elastic-mandelbulb's iteration (Fig 9's scene) on this thread:
+// the mandelbulb preset over 64 blocks of 16^3 at 128^2, one task per
+// (block, cell layer) drawn into one OrderedTarget in task order, which is
+// an execute's render region at pool width 1.
+struct MandelbulbIteration {
+  catalyst::PipelineScript script = catalyst::PipelineScript::mandelbulb();
+  std::vector<vis::UniformGrid> blocks;
+  render::Camera camera;
+  render::ColorMap cmap{script.colormap, script.range_lo, script.range_hi};
+
+  MandelbulbIteration() {
+    apps::MandelbulbParams p;
+    p.nx = p.ny = p.nz = 16;
+    p.total_blocks = 64;
+    vis::Aabb bounds;
+    for (std::uint32_t id = 0; id < p.total_blocks; ++id) {
+      blocks.push_back(apps::mandelbulb_block(p, id));
+      bounds.extend(blocks.back().bounds());
+    }
+    camera = render::Camera::framing(bounds);
+  }
+};
+
+// The contour as the render path runs it, one cell layer per call, into a
+// sink that keeps nothing: the straddle scan, gradients and edge vertices.
+struct CountingSink {
+  using Vertex = vis::EdgeVertex;
+  std::size_t triangles = 0;
+  Vertex vertex(const vis::EdgeVertex& v) const { return v; }
+  void triangle(const Vertex&, const Vertex&, const Vertex&) { ++triangles; }
+  void end_cell() {}
+};
+
+void BM_MandelbulbIterationContour(benchmark::State& state) {
+  const MandelbulbIteration scene;
+  std::size_t triangles = 0;
+  for (auto _ : state) {
+    CountingSink sink;
+    for (const auto& g : scene.blocks)
+      for (std::uint32_t k = 0; k + 1 < g.dims[2]; ++k)
+        vis::contour_layers(g, scene.script.field, scene.script.iso_values[0],
+                            scene.script.color_field, k, k + 1, sink);
+    triangles = sink.triangles;
+    benchmark::DoNotOptimize(triangles);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(triangles));
+}
+BENCHMARK(BM_MandelbulbIterationContour)->Unit(benchmark::kMillisecond);
+
+void BM_MandelbulbIterationRender(benchmark::State& state) {
+  const MandelbulbIteration scene;
+  render::FrameBuffer fb(128, 128);
+  std::size_t triangles = 0;
+  for (auto _ : state) {
+    fb.clear();
+    render::OrderedTarget target(fb);
+    triangles = 0;
+    std::size_t task = 0;
+    for (const auto& g : scene.blocks)
+      for (std::uint32_t k = 0; k + 1 < g.dims[2]; ++k)
+        triangles += render::rasterize_isosurface(
+            target, task++, g, scene.script.field, scene.script.iso_values[0],
+            scene.script.color_field, k, k + 1, scene.camera, scene.cmap);
+    benchmark::DoNotOptimize(fb.rgba.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(triangles));
+}
+BENCHMARK(BM_MandelbulbIterationRender)->Unit(benchmark::kMillisecond);
 
 void BM_MandelbulbBlock(benchmark::State& state) {
   apps::MandelbulbParams p;

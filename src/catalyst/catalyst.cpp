@@ -37,6 +37,27 @@ int checked_int(const json::Value& v, const char* key, int lo, int hi) {
   return static_cast<int>(d);
 }
 
+// A float from an untrusted config: a number within +-FLT_MAX (so the cast
+// is defined and finite), or std::invalid_argument naming `key`.
+float checked_float(const json::Value& v, const char* key) {
+  const double d = v.is_number() ? v.as_number() : std::nan("");
+  constexpr double kMax = std::numeric_limits<float>::max();
+  if (!(d >= -kMax && d <= kMax))
+    throw std::invalid_argument(std::string("pipeline config: \"") + key +
+                                "\" must be a number within +-FLT_MAX");
+  return static_cast<float>(d);
+}
+
+// A 3-vector from an untrusted config: an array of 3 checked_float numbers.
+vis::Vec3 checked_vec3(const json::Value& v, const char* key) {
+  if (!v.is_array() || v.as_array().size() != 3)
+    throw std::invalid_argument(std::string("pipeline config: \"") + key +
+                                "\" must hold 3 numbers");
+  const auto& a = v.as_array();
+  return {checked_float(a[0], key), checked_float(a[1], key),
+          checked_float(a[2], key)};
+}
+
 icet::Strategy strategy_from(const std::string& s, icet::Strategy dflt) {
   if (s == "tree") return icet::Strategy::tree;
   if (s == "binary-swap" || s == "bswap") return icet::Strategy::binary_swap;
@@ -140,37 +161,23 @@ PipelineScript PipelineScript::from_json(const json::Value& cfg) {
   }
   s.field = cfg.string_or("field", s.field);
   s.color_field = cfg.string_or("color_field", s.color_field);
-  if (const auto* iso = cfg.find("iso_values"); iso != nullptr && iso->is_array()) {
+  if (const auto* iso = cfg.find("iso_values"); iso != nullptr) {
+    if (!iso->is_array())
+      throw std::invalid_argument(
+          "pipeline config: \"iso_values\" must be an array of numbers");
     s.iso_values.clear();
-    for (const auto& v : iso->as_array()) {
-      if (v.is_number()) s.iso_values.push_back(static_cast<float>(v.as_number()));
-    }
+    for (const auto& v : iso->as_array())
+      s.iso_values.push_back(checked_float(v, "iso_values"));
   }
   s.clip = cfg.bool_or("clip", s.clip);
-  if (const auto* o = cfg.find("clip_origin"); o != nullptr && o->is_array() &&
-                                               o->as_array().size() == 3) {
-    s.clip_origin = {static_cast<float>(o->as_array()[0].as_number()),
-                     static_cast<float>(o->as_array()[1].as_number()),
-                     static_cast<float>(o->as_array()[2].as_number())};
-  }
-  if (const auto* nrm = cfg.find("clip_normal"); nrm != nullptr && nrm->is_array() &&
-                                                 nrm->as_array().size() == 3) {
-    s.clip_normal = {static_cast<float>(nrm->as_array()[0].as_number()),
-                     static_cast<float>(nrm->as_array()[1].as_number()),
-                     static_cast<float>(nrm->as_array()[2].as_number())};
-  }
-  if (const auto* o = cfg.find("slice_origin"); o != nullptr && o->is_array() &&
-                                                o->as_array().size() == 3) {
-    s.slice_origin = {static_cast<float>(o->as_array()[0].as_number()),
-                      static_cast<float>(o->as_array()[1].as_number()),
-                      static_cast<float>(o->as_array()[2].as_number())};
-  }
-  if (const auto* nrm = cfg.find("slice_normal");
-      nrm != nullptr && nrm->is_array() && nrm->as_array().size() == 3) {
-    s.slice_normal = {static_cast<float>(nrm->as_array()[0].as_number()),
-                      static_cast<float>(nrm->as_array()[1].as_number()),
-                      static_cast<float>(nrm->as_array()[2].as_number())};
-  }
+  if (const auto* v = cfg.find("clip_origin"); v != nullptr)
+    s.clip_origin = checked_vec3(*v, "clip_origin");
+  if (const auto* v = cfg.find("clip_normal"); v != nullptr)
+    s.clip_normal = checked_vec3(*v, "clip_normal");
+  if (const auto* v = cfg.find("slice_origin"); v != nullptr)
+    s.slice_origin = checked_vec3(*v, "slice_origin");
+  if (const auto* v = cfg.find("slice_normal"); v != nullptr)
+    s.slice_normal = checked_vec3(*v, "slice_normal");
   if (const auto* d = cfg.find("resample_dims"); d != nullptr) {
     if (!d->is_array() || d->as_array().size() != 3)
       throw std::invalid_argument(
@@ -183,15 +190,18 @@ PipelineScript PipelineScript::from_json(const json::Value& cfg) {
                       kMaxResampleDim));
     }
   }
-  s.opacity_scale = static_cast<float>(cfg.number_or("opacity", s.opacity_scale));
+  if (const auto* v = cfg.find("opacity"); v != nullptr)
+    s.opacity_scale = checked_float(*v, "opacity");
   if (const auto* w = cfg.find("width"); w != nullptr)
     s.image_width = checked_int(*w, "width", 1, kMaxImageEdge);
   if (const auto* h = cfg.find("height"); h != nullptr)
     s.image_height = checked_int(*h, "height", 1, kMaxImageEdge);
   s.strategy = strategy_from(cfg.string_or("strategy", ""), s.strategy);
   s.colormap = colormap_from(cfg.string_or("colormap", ""), s.colormap);
-  s.range_lo = static_cast<float>(cfg.number_or("range_lo", s.range_lo));
-  s.range_hi = static_cast<float>(cfg.number_or("range_hi", s.range_hi));
+  if (const auto* v = cfg.find("range_lo"); v != nullptr)
+    s.range_lo = checked_float(*v, "range_lo");
+  if (const auto* v = cfg.find("range_hi"); v != nullptr)
+    s.range_hi = checked_float(*v, "range_hi");
   s.save_path = cfg.string_or("save_path", s.save_path);
   return s;
 }

@@ -70,10 +70,12 @@ struct PipelineScript {
 
   // Parses the admin interface's JSON configuration string; unknown keys are
   // ignored, missing keys keep defaults. The config arrives over the wire,
-  // so sizes are checked before use: "width" and "height" must be integers
-  // in [1, kMaxImageEdge] and each "resample_dims" entry an integer in
-  // [kMinResampleDim, kMaxResampleDim]; otherwise std::invalid_argument
-  // names the key.
+  // so values are checked before use: "width" and "height" must be integers
+  // in [1, kMaxImageEdge], each "resample_dims" entry an integer in
+  // [kMinResampleDim, kMaxResampleDim], the four origin/normal keys arrays
+  // of 3 numbers, "iso_values" an array of numbers, and those numbers,
+  // "range_lo", "range_hi" and "opacity" within +-FLT_MAX; otherwise
+  // std::invalid_argument names the key.
   static PipelineScript from_json(const json::Value& cfg);
 
   // Presets matching the paper's three applications (S III-A).

@@ -1,9 +1,12 @@
 #include "render/render.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
 #if defined(__x86_64__)
@@ -133,13 +136,7 @@ std::uint64_t FrameBuffer::content_hash() const {
 
 namespace {
 
-struct ProjectedVertex {
-  float x = 0, y = 0;  // screen coordinates
-  float z = 0;         // depth in [0,1]
-  Vec3 normal;
-  float scalar = 0;
-  bool ok = false;  // in front of the near plane
-};
+using detail::ProjectedVertex;
 
 struct CameraBasis {
   Vec3 forward, right, up;
@@ -232,20 +229,174 @@ void cover8(bool avx2, const ProjectedVertex& v0, const ProjectedVertex& v1,
   cover8_scalar(v0, v1, v2, inv_area, x0, y, lanes, c);
 }
 
-// One rasterizing call's camera, screen, shading and coverage path. A
-// mesh's triangles and the contour kernel's, as it emits them, both go
-// through project() and triangle().
-class Raster {
+// ---- The reject
+//
+// Most small triangles cover no pixel centre, so before triangle() sets one
+// up, triangles go 8 at a time through a reject that drops only those it
+// proves draw nothing: on some axis, no pixel centre lies within a margin m
+// of the vertices' range,
+//
+//   m = K u D^2 diam / |area|,   u = 2^-24, D = diam + 2 px, K = 64,
+//
+// with diam the range's larger side and area triangle()'s own. A margin is
+// needed: triangle() covers a centre when its rounded weights there are all
+// >= 0, and they can be at a centre just outside the vertices' float box (a
+// sliver with a vertex a few ulps from a centre). No fixed margin holds,
+// since the weights' error grows as u D^2 / |area|.
+//
+// Why K = 64 suffices. triangle() tests only centres c within 1.5 px of the
+// range, so each difference v - c it forms is at most D: a weight's numerator
+// (two products of such differences, subtracted) is off by at most 8uD^2,
+// and the area (differences at most diam) by at most 8u diam^2. Let P be the
+// point whose weights are the rounded ones; if they are all >= 0, P is in the
+// triangle (to u diam). The numerators share one rounded 1 / area, so P is
+// Q scaled about v2 by A / (area (1 + u)), where Q has the rounded numerators
+// over the exact area A: |P - Q| <= (u + 8uD^2 / |A|) diam, and Q's weights
+// are each off by at most 10uD^2 / |A|, so |Q - c| <= 20uD^2 diam / |A| per
+// axis. Since |A| <= 2 diam^2, the u diam terms fit under 4uD^2 diam / |A|,
+// and c lies within 32uD^2 diam / |A| of the range. If |A| >= 16u diam^2,
+// then |area| <= 1.5 |A| and m >= 42uD^2 diam / |A| covers that, with slack
+// for the rounding of m itself. Otherwise |area| < 24u diam^2 and
+// m >= 2.6 D^2 / diam >= 21 px, beyond every centre triangle() tests.
+// The bound is loose, but it is a bound: on the adversarial slivers of
+// render_test's Rasterize.ConservativeRejectMatchesThePreChangeRasterizer,
+// K = 1/8 already loses a covered centre and K = 1/4 does not.
+//
+// A triangle whose area is below triangle()'s 1e-9 is dropped, since
+// triangle() draws nothing for it either. One with an infinite or NaN area
+// is kept, as is one whose margin overflows; one with a vertex that is not
+// ok draws nothing whichever way the reject decides.
+constexpr float kMarginKu = 0x1p-18f;  // K u = 64 * 2^-24
+constexpr float kMinArea = 1e-9f;      // triangle() draws nothing below it
+
+// True when no pixel centre k + 0.5, k in [0, cells), lies in
+// [lo - m, hi + m]. Rounding is monotone and centres are floats, so a centre
+// inside the exact interval stays inside the rounded one. False for NaN.
+bool misses_centres(float lo, float hi, float m, float cells) {
+  const float first = std::ceil((lo - m) - 0.5f);
+  const float last = std::floor((hi + m) - 0.5f);
+  return first > last || first > cells - 1.0f || last < 0.0f;
+}
+
+// A triangle as its three vertices, held elsewhere: in a contour cell's
+// edge cache, or in a mesh batch's projected vertices.
+struct TriangleRef {
+  const ProjectedVertex* v[3];
+};
+
+// Bit t set unless triangle t of tris[0, n) (n <= 8) provably covers no
+// pixel centre of a width x height screen. The reference for the AVX2 path,
+// and the path on CPUs without AVX2.
+unsigned keep8_scalar(const TriangleRef* tris, int n, float width,
+                      float height) {
+  unsigned keep = 0;
+  for (int t = 0; t < n; ++t) {
+    const ProjectedVertex &v0 = *tris[t].v[0], &v1 = *tris[t].v[1],
+                          &v2 = *tris[t].v[2];
+    const float area =
+        (v1.x - v0.x) * (v2.y - v0.y) - (v2.x - v0.x) * (v1.y - v0.y);
+    const float xlo = std::min(std::min(v0.x, v1.x), v2.x);
+    const float xhi = std::max(std::max(v0.x, v1.x), v2.x);
+    const float ylo = std::min(std::min(v0.y, v1.y), v2.y);
+    const float yhi = std::max(std::max(v0.y, v1.y), v2.y);
+    const float diam = std::max(xhi - xlo, yhi - ylo);
+    const float abs_area = std::abs(area);
+    bool drop = abs_area < kMinArea;
+    if (abs_area >= kMinArea &&
+        abs_area < std::numeric_limits<float>::infinity()) {
+      const float d = diam + 2.0f;
+      const float m = kMarginKu * (d * d) * diam / abs_area;
+      drop = misses_centres(xlo, xhi, m, width) ||
+             misses_centres(ylo, yhi, m, height);
+    }
+    if (!drop) keep |= 1u << t;
+  }
+  return keep;
+}
+
+#if defined(__x86_64__)
+// misses_centres over 8 lanes.
+__attribute__((target("avx2"))) __m256 misses_centres8(__m256 lo, __m256 hi,
+                                                       __m256 m,
+                                                       float cells) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 first = _mm256_ceil_ps(_mm256_sub_ps(_mm256_sub_ps(lo, m), half));
+  const __m256 last = _mm256_floor_ps(_mm256_sub_ps(_mm256_add_ps(hi, m), half));
+  return _mm256_or_ps(
+      _mm256_or_ps(_mm256_cmp_ps(first, last, _CMP_GT_OQ),
+                   _mm256_cmp_ps(first, _mm256_set1_ps(cells - 1.0f),
+                                 _CMP_GT_OQ)),
+      _mm256_cmp_ps(last, _mm256_setzero_ps(), _CMP_LT_OQ));
+}
+
+// keep8_scalar over 8 lanes per operation, each lane the scalar expression
+// tree. Lanes past n repeat triangle 0 and are masked off.
+__attribute__((target("avx2"))) unsigned keep8_avx2(const TriangleRef* tris,
+                                                    int n, float width,
+                                                    float height) {
+  alignas(32) float xy[6][8];  // x0, y0, x1, y1, x2, y2 per lane
+  for (int t = 0; t < 8; ++t) {
+    const TriangleRef& tri = tris[t < n ? t : 0];
+    for (int k = 0; k < 3; ++k) {
+      xy[2 * k][t] = tri.v[k]->x;
+      xy[2 * k + 1][t] = tri.v[k]->y;
+    }
+  }
+  const __m256 x0 = _mm256_load_ps(xy[0]), y0 = _mm256_load_ps(xy[1]);
+  const __m256 x1 = _mm256_load_ps(xy[2]), y1 = _mm256_load_ps(xy[3]);
+  const __m256 x2 = _mm256_load_ps(xy[4]), y2 = _mm256_load_ps(xy[5]);
+  const __m256 area = _mm256_sub_ps(
+      _mm256_mul_ps(_mm256_sub_ps(x1, x0), _mm256_sub_ps(y2, y0)),
+      _mm256_mul_ps(_mm256_sub_ps(x2, x0), _mm256_sub_ps(y1, y0)));
+  const __m256 xlo = _mm256_min_ps(_mm256_min_ps(x0, x1), x2);
+  const __m256 xhi = _mm256_max_ps(_mm256_max_ps(x0, x1), x2);
+  const __m256 ylo = _mm256_min_ps(_mm256_min_ps(y0, y1), y2);
+  const __m256 yhi = _mm256_max_ps(_mm256_max_ps(y0, y1), y2);
+  const __m256 diam =
+      _mm256_max_ps(_mm256_sub_ps(xhi, xlo), _mm256_sub_ps(yhi, ylo));
+  const __m256 d = _mm256_add_ps(diam, _mm256_set1_ps(2.0f));
+  const __m256 abs_area = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), area);
+  const __m256 m = _mm256_div_ps(
+      _mm256_mul_ps(
+          _mm256_mul_ps(_mm256_set1_ps(kMarginKu), _mm256_mul_ps(d, d)), diam),
+      abs_area);
+  const __m256 tiny =
+      _mm256_cmp_ps(abs_area, _mm256_set1_ps(kMinArea), _CMP_LT_OQ);
+  const __m256 finite = _mm256_and_ps(
+      _mm256_cmp_ps(abs_area, _mm256_set1_ps(kMinArea), _CMP_GE_OQ),
+      _mm256_cmp_ps(abs_area,
+                    _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+                    _CMP_LT_OQ));
+  const __m256 drop = _mm256_or_ps(
+      tiny, _mm256_and_ps(finite,
+                          _mm256_or_ps(misses_centres8(xlo, xhi, m, width),
+                                       misses_centres8(ylo, yhi, m, height))));
+  return ~static_cast<unsigned>(_mm256_movemask_ps(drop)) & ((1u << n) - 1);
+}
+#endif  // __x86_64__
+
+unsigned keep8(bool avx2, const TriangleRef* tris, int n, float width,
+               float height) {
+#if defined(__x86_64__)
+  if (avx2) return keep8_avx2(tris, n, width, height);
+#endif
+  (void)avx2;
+  return keep8_scalar(tris, n, width, height);
+}
+
+// How vertex normals reach the shading: as given (a mesh's), or normalized
+// first (the contour's lerped gradients, vis::EdgeVertex::normal).
+enum class VertexNormals : std::uint8_t { as_given, normalize };
+
+// Where a camera puts world points on a framebuffer.
+class Projection {
  public:
-  Raster(const FrameBuffer& fb, const Camera& cam, const ColorMap& cmap,
-         bool avx2)
-      : width_(nonempty(fb).width),
+  Projection(const FrameBuffer& fb, const Camera& cam)
+      : width_(fb.width),
         height_(fb.height),
         aspect_(static_cast<float>(width_) / static_cast<float>(height_)),
         cam_(cam),
-        basis_(basis_of(cam)),
-        cmap_(cmap),
-        avx2_(avx2) {}
+        basis_(basis_of(cam)) {}
 
   [[nodiscard]] ProjectedVertex project(const Vec3& pos, const Vec3& normal,
                                         float scalar) const {
@@ -266,6 +417,42 @@ class Raster {
     // A NaN sample contours to NaN points; nothing may cast them to int.
     v.ok = std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
     return v;
+  }
+
+ private:
+  const int width_, height_;
+  const float aspect_;
+  const Camera& cam_;
+  const CameraBasis basis_;
+};
+
+// One rasterizing call's screen, shading and coverage path. A mesh's
+// triangles, a contour cell's and the screen-space entry's all go through
+// draw(): the reject, then triangle() for what it keeps.
+class Raster {
+ public:
+  Raster(const FrameBuffer& fb, const ColorMap& cmap, bool avx2,
+         VertexNormals normals)
+      : width_(nonempty(fb).width),
+        height_(fb.height),
+        cmap_(cmap),
+        avx2_(avx2),
+        normalize_(normals == VertexNormals::normalize) {}
+
+  // Draws tris in order: 8 at a time through the reject, and each one it
+  // keeps through triangle(). A dropped triangle covers no pixel centre, so
+  // the fragments and their order are triangle()'s alone.
+  template <class Target>
+  void draw(std::span<const TriangleRef> tris, Target& target) const {
+    for (std::size_t t0 = 0; t0 < tris.size(); t0 += 8) {
+      const int n = static_cast<int>(std::min<std::size_t>(8, tris.size() - t0));
+      for (unsigned keep = keep8(avx2_, &tris[t0], n, static_cast<float>(width_),
+                                 static_cast<float>(height_));
+           keep != 0; keep &= keep - 1) {
+        const TriangleRef& t = tris[t0 + static_cast<std::size_t>(std::countr_zero(keep))];
+        triangle(*t.v[0], *t.v[1], *t.v[2], target);
+      }
+    }
   }
 
   // Offers every pixel centre the triangle covers to
@@ -307,7 +494,8 @@ class Raster {
                                     static_cast<std::size_t>(width_) +
                                 static_cast<std::size_t>(x0 + l);
           target.fragment(p, z, [&] {
-            const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
+            const Vec3 n = (normal(v0) * w0 + normal(v1) * w1 +
+                            normal(v2) * w2)
                                .normalized();
             const float scalar =
                 w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
@@ -319,35 +507,46 @@ class Raster {
     }
   }
 
-  template <class Target>
-  void mesh(const vis::TriangleMesh& mesh, Target& target) const {
-    auto vertex = [&](std::uint32_t idx) {
-      return project(
-          mesh.points[idx],
-          idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1},
-          idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f);
-    };
-    for (std::size_t t = 0; t < mesh.triangle_count(); ++t) {
-      triangle(vertex(mesh.triangles[3 * t]), vertex(mesh.triangles[3 * t + 1]),
-               vertex(mesh.triangles[3 * t + 2]), target);
-    }
-  }
-
  private:
   static const FrameBuffer& nonempty(const FrameBuffer& fb) {
     if (fb.width == 0 || fb.height == 0)
       throw std::invalid_argument("rasterize: empty framebuffer");
     return fb;
   }
+  // Runs only for a fragment a pixel takes.
+  [[nodiscard]] Vec3 normal(const ProjectedVertex& v) const {
+    return normalize_ ? v.normal.normalized() : v.normal;
+  }
 
   const int width_, height_;
-  const float aspect_;
-  const Camera& cam_;
-  const CameraBasis basis_;
   const Vec3 light_ = Vec3{0.4f, 0.8f, 0.45f}.normalized();
   const ColorMap& cmap_;
   const bool avx2_;
+  const bool normalize_;
 };
+
+// Draws a mesh 8 triangles at a time, each batch's vertices projected into
+// an array on the stack.
+template <class Target>
+void draw_mesh(const Projection& projection, const Raster& raster,
+               const vis::TriangleMesh& mesh, Target& target) {
+  auto vertex = [&](std::uint32_t idx) {
+    return projection.project(
+        mesh.points[idx],
+        idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1},
+        idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f);
+  };
+  std::array<ProjectedVertex, 24> v;
+  std::array<TriangleRef, 8> batch{};
+  for (std::size_t t = 0; t < batch.size(); ++t)
+    batch[t] = {{&v[3 * t], &v[3 * t + 1], &v[3 * t + 2]}};
+  for (std::size_t t0 = 0; t0 < mesh.triangle_count(); t0 += batch.size()) {
+    const std::size_t n = std::min(batch.size(), mesh.triangle_count() - t0);
+    for (std::size_t i = 0; i < 3 * n; ++i)
+      v[i] = vertex(mesh.triangles[3 * t0 + i]);
+    raster.draw(std::span(batch.data(), n), target);
+  }
+}
 
 // The serial z-buffer: a pixel takes a fragment only if z < depth, so a
 // fragment whose weights overflowed to NaN never lands.
@@ -372,19 +571,26 @@ struct TaskTarget {
 };
 
 // The contour kernel's sink: projects each edge vertex once per cell and
-// rasterizes each triangle as it is emitted.
+// draws a cell's triangles, at most 6 tetrahedra x 2, at its end.
 struct ContourSink {
   using Vertex = ProjectedVertex;
+  const Projection& projection;
   const Raster& raster;
   TaskTarget target;
-  std::size_t triangles = 0;
+  std::size_t triangles = 0;  // as emitted, before the reject
+  std::array<TriangleRef, 12> cell{};
+  std::size_t cell_size = 0;
 
   [[nodiscard]] Vertex vertex(const vis::EdgeVertex& v) const {
-    return raster.project(v.pos, v.normal, v.color);
+    return projection.project(v.pos, v.normal, v.color);
   }
   void triangle(const Vertex& a, const Vertex& b, const Vertex& c) {
     ++triangles;
-    raster.triangle(a, b, c, target);
+    cell[cell_size++] = {{&a, &b, &c}};
+  }
+  void end_cell() {
+    raster.draw(std::span(cell.data(), cell_size), target);
+    cell_size = 0;
   }
 };
 
@@ -398,15 +604,27 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
 void detail::rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                        const Camera& cam, const ColorMap& cmap, bool avx2) {
   DirectTarget target{fb};
-  Raster(fb, cam, cmap, avx2).mesh(mesh, target);
+  const Raster raster(fb, cmap, avx2, VertexNormals::as_given);
+  draw_mesh(Projection(fb, cam), raster, mesh, target);
+}
+
+void detail::rasterize_projected(FrameBuffer& fb,
+                                 std::span<const ProjectedVertex> v,
+                                 const ColorMap& cmap, bool avx2) {
+  std::vector<TriangleRef> refs(v.size() / 3);
+  for (std::size_t t = 0; t < refs.size(); ++t)
+    refs[t] = {{&v[3 * t], &v[3 * t + 1], &v[3 * t + 2]}};
+  DirectTarget target{fb};
+  Raster(fb, cmap, avx2, VertexNormals::as_given).draw(refs, target);
 }
 
 void rasterize(OrderedTarget& target, std::size_t task,
                const vis::TriangleMesh& mesh, const Camera& cam,
                const ColorMap& cmap) {
   TaskTarget to{target, task};
-  Raster(target.framebuffer(), cam, cmap, common::simd::avx2())
-      .mesh(mesh, to);
+  const FrameBuffer& fb = target.framebuffer();
+  const Raster raster(fb, cmap, common::simd::avx2(), VertexNormals::as_given);
+  draw_mesh(Projection(fb, cam), raster, mesh, to);
 }
 
 std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
@@ -415,8 +633,10 @@ std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
                                  const std::string& color_field,
                                  std::uint32_t k_begin, std::uint32_t k_end,
                                  const Camera& cam, const ColorMap& cmap) {
-  const Raster raster(target.framebuffer(), cam, cmap, common::simd::avx2());
-  ContourSink sink{raster, {target, task}};
+  const FrameBuffer& fb = target.framebuffer();
+  const Raster raster(fb, cmap, common::simd::avx2(), VertexNormals::normalize);
+  const Projection projection(fb, cam);
+  ContourSink sink{projection, raster, {target, task}};
   vis::contour_layers(grid, field, isovalue, color_field, k_begin, k_end,
                       sink);
   return sink.triangles;

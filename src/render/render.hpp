@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,9 +139,10 @@ class OrderedTarget {
 // Rasterizes `mesh` into `fb` (additively with z-test; call fb.clear()
 // first for a fresh frame). Scalars are mapped through `cmap`. A pixel takes
 // a fragment only if its z is below the pixel's depth, so a fragment whose
-// weights overflowed to NaN is dropped. On a CPU with AVX2 the coverage test
-// runs on 8 pixel centres of a row at a time; the image is the same bit for
-// bit.
+// weights overflowed to NaN is dropped. Triangles go 8 at a time through a
+// reject that drops only those that provably cover no pixel centre. On a CPU
+// with AVX2 the reject runs on 8 triangles and the coverage test on 8 pixel
+// centres of a row at a time; the image is the same bit for bit.
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& camera, const ColorMap& cmap);
 
@@ -150,11 +152,12 @@ void rasterize(OrderedTarget& target, std::size_t task,
                const ColorMap& cmap);
 
 // Contours `field` of `grid` at `isovalue` over the cell layers
-// [k_begin, k_end) (vis::contour_layers) and rasterizes each triangle as the
-// contour emits it, as task `task` into `target`. Each edge vertex is
-// projected once per cell and no mesh is built; the image is that of
-// vis::isosurface_layers() into a mesh and then rasterize(). Returns the
-// number of triangles.
+// [k_begin, k_end) (vis::contour_layers) and rasterizes each cell's
+// triangles as the contour finishes the cell, as task `task` into `target`.
+// Each edge vertex is projected once per cell, its normal normalized only
+// for the fragments a pixel takes, and no mesh is built; the image is that
+// of vis::isosurface_layers() into a mesh and then rasterize(). Returns the
+// number of triangles the contour emitted.
 std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
                                  const vis::UniformGrid& grid,
                                  const std::string& field, float isovalue,
@@ -163,11 +166,30 @@ std::size_t rasterize_isosurface(OrderedTarget& target, std::size_t task,
                                  const Camera& camera, const ColorMap& cmap);
 
 namespace detail {
-// rasterize() with the coverage path chosen by the caller: 8 pixel centres
-// per AVX2 operation when `avx2` (the CPU must have it), else one at a time.
-// Both must write the same bytes for every input, NaN included.
+// rasterize() with the reject and coverage paths chosen by the caller: 8
+// triangles or pixel centres per AVX2 operation when `avx2` (the CPU must
+// have it), else one at a time. Both must write the same bytes for every
+// input, NaN included.
 void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
                const Camera& camera, const ColorMap& cmap, bool avx2);
+
+// A vertex as the rasterizer draws it. ok is false behind the near plane or
+// when a coordinate is not finite; a triangle with such a vertex draws
+// nothing.
+struct ProjectedVertex {
+  float x = 0, y = 0;  // screen coordinates, in pixels
+  float z = 0;         // depth in [0,1]
+  vis::Vec3 normal;
+  float scalar = 0;
+  bool ok = false;
+};
+
+// The rasterizer from screen space on, for tests: draws triangle t, the
+// vertices v[3t], v[3t + 1] and v[3t + 2], into fb in order, 8 triangles
+// per call of the reject as rasterize() batches a mesh, with normals as
+// given, through the paths `avx2` selects.
+void rasterize_projected(FrameBuffer& fb, std::span<const ProjectedVertex> v,
+                         const ColorMap& cmap, bool avx2);
 }  // namespace detail
 
 // Volume-renders point field `field` of `grid` into `fb`. Rows render over

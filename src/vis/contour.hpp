@@ -2,11 +2,13 @@
 // into 6 tetrahedra around its main diagonal, and every triangle goes to a
 // sink as soon as it is found: isosurface() and isosurface_layers()
 // (vis/filters.hpp) append to a TriangleMesh, and render::rasterize_isosurface
-// draws each one without building a mesh.
+// draws each one without building a mesh. Which cells of a row straddle the
+// isovalue is decided 8 cells per AVX2 operation when the CPU has it.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -14,15 +16,25 @@
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "common/simd.hpp"
 #include "vis/data.hpp"
 #include "vis/math.hpp"
 
 namespace colza::vis {
 
-// A contour vertex on a cell edge: position, unit gradient normal and the
-// interpolated color scalar.
+// A contour vertex on a cell edge: position, normal and the interpolated
+// color scalar.
 struct EdgeVertex {
   Vec3 pos;
+  // The corner gradients lerped along the edge, not normalized: a sink makes
+  // it a unit vector where it needs one (isosurface()'s mesh as it stores
+  // the vertex; the rasterizer only for the fragments it shades). It must be
+  // normalized exactly once, since Vec3::normalized() is not idempotent in
+  // float.
   Vec3 normal;
   float color = 0;
 };
@@ -52,7 +64,7 @@ inline EdgeVertex interpolate(const Corner& a, const Corner& b, float iso) {
       denom != 0 ? std::clamp((iso - a.value) / denom, 0.0f, 1.0f) : 0.5f;
   EdgeVertex v;
   v.pos = lerp(a.pos, b.pos, t);
-  v.normal = lerp(a.gradient, b.gradient, t).normalized();
+  v.normal = lerp(a.gradient, b.gradient, t);
   v.color = a.color + (b.color - a.color) * t;
   return v;
 }
@@ -141,22 +153,90 @@ void march_tet(Sink& sink, const std::array<Corner, 8>& corners,
   }
 }
 
+// A cell row's four point rows, (j, k), (j + 1, k), (j, k + 1) and
+// (j + 1, k + 1): cell i of the row spans points i and i + 1 of each.
+using PointRows = std::array<const float*, 4>;
+
+// Which of the cells i0 .. i0 + lanes - 1 (lanes in [1, 8]) of a row straddle
+// `iso`: bit l is set when a corner of cell i0 + l is above it (v > iso) and
+// another is not (v <= iso). A NaN corner is neither. The reference for the
+// AVX2 path, and the path on CPUs without AVX2.
+inline unsigned straddle8_scalar(const PointRows& rows, std::size_t i0,
+                                 int lanes, float iso) {
+  unsigned mask = 0;
+  for (int l = 0; l < lanes; ++l) {
+    const std::size_t i = i0 + static_cast<std::size_t>(l);
+    bool above = false, below = false;
+    for (const float* row : rows) {
+      for (const float v : {row[i], row[i + 1]}) {
+        above |= v > iso;
+        below |= v <= iso;
+      }
+    }
+    if (above && below) mask |= 1u << l;
+  }
+  return mask;
+}
+
+#if defined(__x86_64__)
+// straddle8_scalar over 8 cells per operation: ordered compares (_GT_OQ,
+// _LE_OQ) are false for NaN as the scalar ones are. The loads are masked to
+// the live lanes, so none reads past the row's last point.
+__attribute__((target("avx2"))) inline unsigned straddle8_avx2(
+    const PointRows& rows, std::size_t i0, int lanes, float iso) {
+  const __m256i live = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 t = _mm256_set1_ps(iso);
+  __m256 above = _mm256_setzero_ps(), below = _mm256_setzero_ps();
+  for (const float* row : rows) {
+    for (const float* p : {row + i0, row + i0 + 1}) {
+      const __m256 v = _mm256_maskload_ps(p, live);
+      above = _mm256_or_ps(above, _mm256_cmp_ps(v, t, _CMP_GT_OQ));
+      below = _mm256_or_ps(below, _mm256_cmp_ps(v, t, _CMP_LE_OQ));
+    }
+  }
+  // A masked-off lane loads 0 at all eight corners, so it never straddles.
+  return static_cast<unsigned>(_mm256_movemask_ps(_mm256_and_ps(above, below)));
+}
+#endif  // __x86_64__
+
+inline unsigned straddle8(bool avx2, const PointRows& rows, std::size_t i0,
+                          int lanes, float iso) {
+#if defined(__x86_64__)
+  if (avx2) return straddle8_avx2(rows, i0, lanes, iso);
+#endif
+  (void)avx2;
+  return straddle8_scalar(rows, i0, lanes, iso);
+}
+
 }  // namespace detail
 
 // Contours point field `field` of `grid` at `isovalue` over the cell layers k
 // in [k_begin, k_end) (a cell layer spans point planes k and k + 1; k_end is
 // clamped to the layer count), in increasing k, j, i and tetrahedron order.
-// The sink gets each edge vertex once per cell and each triangle as it is
-// found:
+// The sink gets each edge vertex once per cell, each triangle as it is
+// found, and the end of each cell it contours (each has a triangle):
 //   typename Sink::Vertex sink.vertex(const EdgeVertex&);
 //   void sink.triangle(const Sink::Vertex&, const Sink::Vertex&,
 //                      const Sink::Vertex&);
+//   void sink.end_cell();
+// A cell's Vertex objects stay in place until its end_cell() returns.
 // Vertex colors come from `color_field` when the grid has it, else from
 // `field`. Throws std::runtime_error when `field` is missing or mis-sized.
 template <class Sink>
 void contour_layers(const UniformGrid& grid, const std::string& field,
                     float isovalue, const std::string& color_field,
-                    std::uint32_t k_begin, std::uint32_t k_end, Sink& sink) {
+                    std::uint32_t k_begin, std::uint32_t k_end, Sink& sink);
+
+namespace detail {
+// contour_layers() with the straddle scan chosen by the caller: 8 cells per
+// AVX2 operation when `avx2` (the CPU must have it), else one at a time.
+// Both must make the same sink calls for every field, NaN included.
+template <class Sink>
+void contour_layers(const UniformGrid& grid, const std::string& field,
+                    float isovalue, const std::string& color_field,
+                    std::uint32_t k_begin, std::uint32_t k_end, Sink& sink,
+                    bool avx2) {
   const DataArray* arr = grid.point_data.find(field);
   if (arr == nullptr)
     throw std::runtime_error("isosurface: no point field '" + field + "'");
@@ -225,40 +305,54 @@ void contour_layers(const UniformGrid& grid, const std::string& field,
                   plane, std::uint8_t{0});
     }
     for (std::uint32_t j = 0; j + 1 < ny; ++j) {
-      for (std::uint32_t i = 0; i + 1 < nx; ++i) {
-        // Quick reject: all corner values on one side of the isovalue.
-        const std::size_t base = grid.point_index(i, j, k);
-        bool any_above = false, any_below = false;
-        for (std::size_t b = 0; b < 8; ++b) {
-          const float v = values[base + offset[b]];
-          any_above |= v > isovalue;
-          any_below |= v <= isovalue;
-          corners[b].value = v;
-        }
-        if (!any_above || !any_below) continue;
-        for (std::size_t b = 0; b < 8; ++b) {
-          const std::uint32_t ci = i + static_cast<std::uint32_t>(b & 1u);
-          const std::uint32_t cj = j + static_cast<std::uint32_t>((b >> 1) & 1u);
-          const std::uint32_t ck = k + static_cast<std::uint32_t>((b >> 2) & 1u);
-          auto& corner = corners[b];
-          corner.pos = grid.point(ci, cj, ck);
-          const std::size_t slot =
-              (ck == k ? lower : plane - lower) +
-              static_cast<std::size_t>(cj) * nx + ci;
-          if (have[slot] == 0) {
-            grads[slot] = gradient(ci, cj, ck);
-            have[slot] = 1;
+      const std::size_t row = grid.point_index(0, j, k);
+      const detail::PointRows rows{&values[row], &values[row + nx],
+                                   &values[row + plane],
+                                   &values[row + plane + nx]};
+      // Only the cells with corners on both sides of the isovalue are
+      // contoured, in increasing i.
+      for (std::uint32_t i0 = 0; i0 + 1 < nx; i0 += 8) {
+        const int lanes = static_cast<int>(std::min(8u, nx - 1 - i0));
+        for (unsigned m = detail::straddle8(avx2, rows, i0, lanes, isovalue);
+             m != 0; m &= m - 1) {
+          const std::uint32_t i =
+              i0 + static_cast<std::uint32_t>(std::countr_zero(m));
+          const std::size_t base = row + i;
+          for (std::size_t b = 0; b < 8; ++b) {
+            const std::uint32_t ci = i + static_cast<std::uint32_t>(b & 1u);
+            const std::uint32_t cj = j + static_cast<std::uint32_t>((b >> 1) & 1u);
+            const std::uint32_t ck = k + static_cast<std::uint32_t>((b >> 2) & 1u);
+            auto& corner = corners[b];
+            corner.pos = grid.point(ci, cj, ck);
+            const std::size_t slot =
+                (ck == k ? lower : plane - lower) +
+                static_cast<std::size_t>(cj) * nx + ci;
+            if (have[slot] == 0) {
+              grads[slot] = gradient(ci, cj, ck);
+              have[slot] = 1;
+            }
+            corner.gradient = grads[slot];
+            corner.value = values[base + offset[b]];
+            corner.color =
+                colors.empty() ? corner.value : colors[base + offset[b]];
           }
-          corner.gradient = grads[slot];
-          corner.color =
-              colors.empty() ? corner.value : colors[base + offset[b]];
+          edges.have = 0;
+          for (const auto& tet : detail::kTets)
+            detail::march_tet(sink, corners, tet, isovalue, edges);
+          sink.end_cell();
         }
-        edges.have = 0;
-        for (const auto& tet : detail::kTets)
-          detail::march_tet(sink, corners, tet, isovalue, edges);
       }
     }
   }
+}
+}  // namespace detail
+
+template <class Sink>
+void contour_layers(const UniformGrid& grid, const std::string& field,
+                    float isovalue, const std::string& color_field,
+                    std::uint32_t k_begin, std::uint32_t k_end, Sink& sink) {
+  detail::contour_layers(grid, field, isovalue, color_field, k_begin, k_end,
+                         sink, common::simd::avx2());
 }
 
 }  // namespace colza::vis

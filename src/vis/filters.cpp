@@ -11,12 +11,16 @@ namespace colza::vis {
 
 namespace {
 
-// Appends each contour triangle to a mesh as three new points.
+// Appends each contour triangle to a mesh as three new points, with unit
+// normals.
 struct MeshSink {
   using Vertex = EdgeVertex;
   TriangleMesh& out;
 
-  Vertex vertex(const EdgeVertex& v) const { return v; }
+  Vertex vertex(const EdgeVertex& v) const {
+    return {v.pos, v.normal.normalized(), v.color};
+  }
+  void end_cell() {}
   void triangle(const Vertex& a, const Vertex& b, const Vertex& c) {
     const auto base = static_cast<std::uint32_t>(out.points.size());
     for (const EdgeVertex* v : {&a, &b, &c}) {

@@ -89,6 +89,17 @@ TEST(PipelineScript, FromJsonRejectsOutOfRangeSizes) {
            Case{R"({"resample_dims": [16, 16, 2.5]})", "resample_dims"},
            Case{R"({"resample_dims": [16, 16]})", "resample_dims"},
            Case{R"({"resample_dims": 16})", "resample_dims"},
+           Case{R"({"clip_normal": ["x", 0, 1]})", "clip_normal"},
+           Case{R"({"clip_origin": [0, 1]})", "clip_origin"},
+           Case{R"({"slice_origin": [0, null, 0]})", "slice_origin"},
+           Case{R"({"slice_normal": "up"})", "slice_normal"},
+           Case{R"({"slice_normal": [0, 0, 1e300]})", "slice_normal"},
+           Case{R"({"iso_values": ["6"]})", "iso_values"},
+           Case{R"({"iso_values": [1e300]})", "iso_values"},
+           Case{R"({"iso_values": 6})", "iso_values"},
+           Case{R"({"range_lo": "low"})", "range_lo"},
+           Case{R"({"range_hi": -1e39})", "range_hi"},
+           Case{R"({"opacity": true})", "opacity"},
        }) {
     try {
       (void)PipelineScript::from_json(json::parse(c.config));
@@ -605,6 +616,27 @@ TEST(CatalystExecute, ImageIsBitIdenticalToTheSerialLoop) {
           << name << ", " << count << " blocks";
     }
   }
+}
+
+// Perfbench elastic-mandelbulb's iteration rendered by one rank: the
+// mandelbulb preset over 64 blocks of 16^3 at 128^2, every (block, cell
+// layer) task drawing into one OrderedTarget. The image is perfbench's
+// reference (reference.json), the depth composite of the staging servers'
+// images that every iteration of every seed reproduces; the counts are
+// one iteration's traced vis.cells and render.triangles.
+TEST(CatalystExecute, ElasticMandelbulbIterationMatchesThePerfbenchImage) {
+  apps::MandelbulbParams mb;
+  mb.nx = mb.ny = mb.nz = 16;
+  mb.total_blocks = 64;
+  std::vector<vis::DataSet> blocks;
+  for (std::uint32_t id = 0; id < mb.total_blocks; ++id)
+    blocks.emplace_back(apps::mandelbulb_block(mb, id));
+  PipelineScript script = PipelineScript::mandelbulb();
+  script.image_width = script.image_height = 128;
+  const Rendered got = execute_alone(script, blocks);
+  EXPECT_EQ(got.fb.content_hash(), 0x582582fa162b9532u);
+  EXPECT_EQ(got.cells, 216000u);
+  EXPECT_EQ(got.triangles, 229656u);
 }
 
 // render::OrderedTarget keeps, per pixel, the first fragment of least depth

@@ -272,6 +272,13 @@ TEST(Colza, AdminCreateListDestroy) {
     EXPECT_EQ(zero_width.code(), StatusCode::invalid_argument);
     EXPECT_NE(zero_width.message().find("width"), std::string::npos)
         << zero_width.message();
+    // So is one whose vectors hold something other than numbers, which
+    // used to escape the factory as std::bad_variant_access (Internal).
+    const Status bad_normal = admin.create_pipeline(
+        s, "p3", "catalyst", R"({"clip_normal":["x",0,1]})");
+    EXPECT_EQ(bad_normal.code(), StatusCode::invalid_argument);
+    EXPECT_NE(bad_normal.message().find("clip_normal"), std::string::npos)
+        << bad_normal.message();
     auto names = admin.list_pipelines(s);
     ASSERT_TRUE(names.has_value());
     EXPECT_EQ(*names, (std::vector<std::string>{"p1", "p2"}));

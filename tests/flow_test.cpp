@@ -460,7 +460,7 @@ TEST(ServerFlow, WeightedGrantOrderFollowsDrr) {
   std::vector<std::string> grant_order;
   sim.spawn("setup", [&] { fl.inject_pressure(4096); });
   for (int i = 0; i < 8; ++i) {
-    for (const std::string name : {std::string("a"), std::string("b")}) {
+    for (const std::string& name : {std::string("a"), std::string("b")}) {
       sim.spawn("w", [&, name] {
         sim.sleep_for(milliseconds(1));
         auto g = fl.acquire(name, 1024, 0);
@@ -662,7 +662,7 @@ TEST(FlowEndToEnd, BusyIsRetriedUntilPressureLifts) {
     auto h = DistributedPipelineHandle::lookup(
         *w.client, w.area->bootstrap().contacts(), "pipe");
     ASSERT_TRUE(h.has_value());
-    h->set_flow_control(FlowClientOptions{.enabled = true});
+    h->set_flow_control(FlowClientOptions{.enabled = true, .aimd = {}});
     ASSERT_TRUE(h->activate(1).ok());
     const des::Time t0 = w.sim.now();
     std::vector<std::byte> data(4096, std::byte{5});
@@ -692,7 +692,7 @@ TEST(FlowEndToEnd, PeakStagedBytesNeverExceedBudget) {
     auto h = DistributedPipelineHandle::lookup(
         *w.client, w.area->bootstrap().contacts(), "pipe");
     ASSERT_TRUE(h.has_value());
-    h->set_flow_control(FlowClientOptions{.enabled = true});
+    h->set_flow_control(FlowClientOptions{.enabled = true, .aimd = {}});
     std::vector<std::byte> data(4096, std::byte{9});
     for (std::uint64_t it = 1; it <= 6; ++it) {
       ASSERT_TRUE(h->activate(it).ok());

@@ -263,7 +263,7 @@ inline ScenarioResult run_elastic_mandelbulb(const ScenarioConfig& cfg) {
         client, area.bootstrap().contacts(), "render");
     if (!h.has_value()) return;  // client_done stays false -> INV1 fails
     h->set_replication(cfg.replication);
-    if (cfg.client_flow) h->set_flow_control(FlowClientOptions{.enabled = true});
+    if (cfg.client_flow) h->set_flow_control(FlowClientOptions{.enabled = true, .aimd = {}});
     ResilientOptions opts = cfg.resilient;
     opts.stats = &res.resilient;
     for (std::uint64_t it = 1; it <= cfg.iterations; ++it) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -447,6 +448,297 @@ TEST(Rasterize, Avx2CoverageMatchesScalar) {
     EXPECT_EQ(std::memcmp(all_avx2.depth.data(), all_scalar.depth.data(),
                           all_scalar.depth.size() * sizeof(float)),
               0);
+  }
+}
+
+// ---- The conservative reject vs the pre-change rasterizer
+
+namespace reference {
+
+const Vec3 kLight = Vec3{0.4f, 0.8f, 0.45f}.normalized();
+
+// The pre-change per-triangle routine (Raster::triangle), kept as the
+// reference: every triangle sets up its area, its clamped box and the
+// coverage test of each centre in it, and shades what the z-buffer
+// (z < depth) takes. Returns how many covered centres lie outside the
+// vertices' float box: the reason a reject needs a margin.
+int triangle(FrameBuffer& fb, const ColorMap& cmap,
+             const detail::ProjectedVertex& v0,
+             const detail::ProjectedVertex& v1,
+             const detail::ProjectedVertex& v2) {
+  if (!v0.ok || !v1.ok || !v2.ok) return 0;
+  const float area =
+      (v1.x - v0.x) * (v2.y - v0.y) - (v2.x - v0.x) * (v1.y - v0.y);
+  if (std::abs(area) < 1e-9f) return 0;
+  const float inv_area = 1.0f / area;
+  const float xlo = std::min({v0.x, v1.x, v2.x});
+  const float xhi = std::max({v0.x, v1.x, v2.x});
+  const float ylo = std::min({v0.y, v1.y, v2.y});
+  const float yhi = std::max({v0.y, v1.y, v2.y});
+  const float fxmin = std::max(0.0f, std::floor(xlo));
+  const float fxmax = std::min(static_cast<float>(fb.width - 1), std::ceil(xhi));
+  const float fymin = std::max(0.0f, std::floor(ylo));
+  const float fymax = std::min(static_cast<float>(fb.height - 1), std::ceil(yhi));
+  if (fxmin > fxmax || fymin > fymax) return 0;
+  int outside = 0;
+  for (int y = static_cast<int>(fymin); y <= static_cast<int>(fymax); ++y) {
+    for (int x = static_cast<int>(fxmin); x <= static_cast<int>(fxmax); ++x) {
+      const float cx = static_cast<float>(x) + 0.5f;
+      const float cy = static_cast<float>(y) + 0.5f;
+      const float w0 = ((v1.x - cx) * (v2.y - cy) - (v2.x - cx) * (v1.y - cy)) * inv_area;
+      const float w1 = ((v2.x - cx) * (v0.y - cy) - (v0.x - cx) * (v2.y - cy)) * inv_area;
+      const float w2 = 1.0f - w0 - w1;
+      if (w0 < 0 || w1 < 0 || w2 < 0) continue;
+      if (cx < xlo || cx > xhi || cy < ylo || cy > yhi) ++outside;
+      const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
+      const std::size_t p = static_cast<std::size_t>(y) *
+                                static_cast<std::size_t>(fb.width) +
+                            static_cast<std::size_t>(x);
+      if (!(z < fb.depth[p])) continue;
+      const Vec3 n =
+          (v0.normal * w0 + v1.normal * w1 + v2.normal * w2).normalized();
+      const float scalar = w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
+      const float shade = 0.25f + 0.75f * std::abs(n.dot(kLight));
+      fb.put(p, z, cmap.map(scalar) * shade);
+    }
+  }
+  return outside;
+}
+
+// The pre-change projection (Raster::project).
+detail::ProjectedVertex project(const FrameBuffer& fb, const Camera& cam,
+                                const Vec3& pos, const Vec3& normal,
+                                float scalar) {
+  const Vec3 forward = (cam.target - cam.eye).normalized();
+  const Vec3 right = forward.cross(cam.up).normalized();
+  const Vec3 up = right.cross(forward);
+  const float tan_half_fov =
+      std::tan(cam.fov_deg * 0.5f * 3.14159265f / 180.0f);
+  const float aspect =
+      static_cast<float>(fb.width) / static_cast<float>(fb.height);
+  detail::ProjectedVertex v;
+  const Vec3 rel = pos - cam.eye;
+  const float zc = rel.dot(forward);
+  if (zc <= cam.near_plane) return v;
+  const float px = rel.dot(right) / (zc * tan_half_fov * aspect);
+  const float py = rel.dot(up) / (zc * tan_half_fov);
+  v.x = (px * 0.5f + 0.5f) * static_cast<float>(fb.width);
+  v.y = (0.5f - py * 0.5f) * static_cast<float>(fb.height);
+  v.z = std::clamp((zc - cam.near_plane) / (cam.far_plane - cam.near_plane),
+                   0.0f, 1.0f);
+  v.normal = normal;
+  v.scalar = scalar;
+  v.ok = std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+  return v;
+}
+
+// A mesh through the pre-change projection and triangle routine.
+void mesh(FrameBuffer& fb, const vis::TriangleMesh& m, const Camera& cam,
+          const ColorMap& cmap) {
+  auto vertex = [&](std::uint32_t i) {
+    return project(fb, cam, m.points[i],
+                   i < m.normals.size() ? m.normals[i] : Vec3{0, 0, 1},
+                   i < m.scalars.size() ? m.scalars[i] : 0.0f);
+  };
+  for (std::size_t t = 0; t < m.triangle_count(); ++t)
+    (void)triangle(fb, cmap, vertex(m.triangles[3 * t]),
+                   vertex(m.triangles[3 * t + 1]),
+                   vertex(m.triangles[3 * t + 2]));
+}
+
+}  // namespace reference
+
+// Seeded screen-space triangles (consecutive vertex triples) for a w x h
+// screen that a reject is most likely to get wrong: slivers along a ray
+// from a pixel centre whose nearest vertex lies a few ulps to 0.1 px from
+// it (their rounded weights often cover that centre from outside the
+// vertices' float box), with areas down to 1e-9 and centres just off
+// screen too; vertices a few ulps around a centre; small free triangles;
+// and vertices at +-1e19 or 3e38, infinite or NaN, or collinear. Both
+// windings.
+std::vector<detail::ProjectedVertex> adversarial_triangles(
+    std::size_t count, int w, int h, std::uint64_t seed) {
+  Rng rng(seed);
+  auto uni = [&](double lo, double hi) { return rng.uniform(lo, hi); };
+  // 10^[lo, hi), with a random sign when `signed_`.
+  auto log_uni = [&](double lo, double hi, bool signed_ = false) {
+    const double v = std::pow(10.0, uni(lo, hi));
+    return signed_ && rng.below(2) == 0 ? -v : v;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<detail::ProjectedVertex> out;
+  out.reserve(3 * count);
+  auto add = [&](double x, double y) {
+    detail::ProjectedVertex v;
+    v.x = static_cast<float>(x);
+    v.y = static_cast<float>(y);
+    v.z = static_cast<float>(uni(0, 1));
+    v.normal = {static_cast<float>(uni(-1, 1)),
+                static_cast<float>(uni(-1, 1)), 1.0f};
+    v.scalar = static_cast<float>(uni(0, 1));
+    v.ok = std::isfinite(v.x) && std::isfinite(v.y);
+    out.push_back(v);
+  };
+  for (std::size_t t = 0; t < count; ++t) {
+    // A pixel centre, one row or column off screen at most.
+    const double cx = static_cast<double>(rng.below(static_cast<std::uint64_t>(w) + 2)) - 0.5;
+    const double cy = static_cast<double>(rng.below(static_cast<std::uint64_t>(h) + 2)) - 0.5;
+    const double theta = uni(0, 2 * 3.14159265358979);
+    const double dx = std::cos(theta), dy = std::sin(theta);
+    const std::size_t first = out.size();
+    switch (rng.below(10)) {
+      case 0: case 1: {  // a sliver fanning out from near c
+        const double r0 = log_uni(-7, -1);
+        const double r1 = log_uni(-2, 1), e1 = log_uni(-9, -1, true);
+        const double r2 = log_uni(-2, 1), e2 = log_uni(-9, -1, true);
+        add(cx + r0 * dx, cy + r0 * dy);
+        add(cx + r1 * std::cos(theta + e1), cy + r1 * std::sin(theta + e1));
+        add(cx + r2 * std::cos(theta + e2), cy + r2 * std::sin(theta + e2));
+        break;
+      }
+      case 2: case 3: case 4: case 5: case 6: {  // along the ray through c
+        const double r0 = log_uni(-7, -2);
+        const double r1 = log_uni(0, 1), h1 = log_uni(-8, -3, true);
+        const double r2 = log_uni(0, 1), h2 = log_uni(-8, -3, true);
+        add(cx + r0 * dx, cy + r0 * dy);
+        add(cx + r1 * dx - h1 * dy, cy + r1 * dy + h1 * dx);
+        add(cx + r2 * dx - h2 * dy, cy + r2 * dy + h2 * dx);
+        break;
+      }
+      case 7: {  // every vertex a few ulps from c
+        for (int k = 0; k < 3; ++k) {
+          float x = static_cast<float>(cx), y = static_cast<float>(cy);
+          for (auto n = rng.below(9); n-- > 0;) x = std::nextafter(x, dx > 0 ? inf : -inf);
+          for (auto n = rng.below(9); n-- > 0;) y = std::nextafter(y, k == 1 ? inf : -inf);
+          add(x, y);
+        }
+        break;
+      }
+      case 8: {  // a free triangle, 0.05 to 10 px
+        const double s = log_uni(-1.3, 1);
+        add(cx + uni(-s, s), cy + uni(-s, s));
+        add(cx + uni(-s, s), cy + uni(-s, s));
+        add(cx + uni(-s, s), cy + uni(-s, s));
+        break;
+      }
+      default: {  // a vertex far off, not finite, or a degenerate triangle
+        const double far[] = {1e19, -1e19, 3e38, -3e38, inf, nan};
+        const double s = log_uni(-1, 1);
+        add(cx + uni(-s, s), cy + uni(-s, s));
+        add(cx + uni(-s, s), cy + uni(-s, s));
+        switch (rng.below(4)) {
+          case 0: add(far[rng.below(6)], cy); break;
+          case 1: add(cx, far[rng.below(6)]); break;
+          case 2: add(far[rng.below(4)], far[rng.below(4)]); break;
+          default: {  // on the line through the first two, or on one
+            const detail::ProjectedVertex a = out[first], b = out[first + 1];
+            const double s2 = rng.below(4) == 0 ? 0.0 : uni(-2, 3);
+            add(a.x + (b.x - a.x) * s2, a.y + (b.y - a.y) * s2);
+          }
+        }
+      }
+    }
+    if (rng.below(2) == 0) std::swap(out[first + 1], out[first + 2]);
+  }
+  return out;
+}
+
+// The reject in front of the per-triangle routine drops only triangles that
+// cover no pixel centre, so the image is the pre-change rasterizer's byte
+// for byte. 400,000 adversarial screen-space triangles go through both
+// reject paths (scalar and, with AVX2, 8-lane), one framebuffer per 20
+// triangles, so every round ends on a batch of 4; the generator must
+// produce covered centres outside the vertices' box, which an unmargined
+// box reject would lose. Then contours and meshes from world space:
+// rasterize_isosurface() per cell layer and rasterize(mesh) on both paths,
+// against the pre-change projection and routine.
+TEST(Rasterize, ConservativeRejectMatchesThePreChangeRasterizer) {
+  constexpr int kW = 40, kH = 24;
+  constexpr std::size_t kTriangles = 400000, kRound = 20;
+  const ColorMap cmap{ColorMapKind::viridis, 0, 1};
+  const std::vector<detail::ProjectedVertex> v =
+      adversarial_triangles(kTriangles, kW, kH, 30);
+  struct Path {
+    bool avx2;
+    int mismatched_rounds = 0;
+  };
+  std::vector<Path> paths{{false}};
+  if (common::simd::avx2()) paths.push_back({true});
+  auto same = [](const FrameBuffer& a, const FrameBuffer& b) {
+    return std::memcmp(a.rgba.data(), b.rgba.data(),
+                       a.rgba.size() * sizeof(float)) == 0 &&
+           std::memcmp(a.depth.data(), b.depth.data(),
+                       a.depth.size() * sizeof(float)) == 0;
+  };
+  FrameBuffer want(kW, kH), got(kW, kH);
+  int outside = 0, drawn_rounds = 0;
+  for (std::size_t t0 = 0; t0 < kTriangles; t0 += kRound) {
+    want.clear();
+    for (std::size_t t = t0; t < t0 + kRound; ++t)
+      outside += reference::triangle(want, cmap, v[3 * t], v[3 * t + 1],
+                                     v[3 * t + 2]);
+    drawn_rounds += active_pixels(want) > 0 ? 1 : 0;
+    const std::span<const detail::ProjectedVertex> round(&v[3 * t0],
+                                                         3 * kRound);
+    for (Path& path : paths) {
+      got.clear();
+      detail::rasterize_projected(got, round, cmap, path.avx2);
+      if (!same(got, want)) {
+        if (path.mismatched_rounds++ == 0)
+          ADD_FAILURE() << "avx2 " << path.avx2
+                        << ": first mismatch in triangles " << t0 << "-"
+                        << t0 + kRound - 1;
+      }
+    }
+  }
+  for (const Path& path : paths)
+    EXPECT_EQ(path.mismatched_rounds, 0) << "avx2 " << path.avx2;
+  EXPECT_GT(outside, 1000) << "covered centres outside the vertices' box";
+  EXPECT_GT(drawn_rounds, static_cast<int>(kTriangles / kRound) / 2);
+
+  // World space: contours cell layer by cell layer into an OrderedTarget,
+  // and whole meshes, at a size where most triangles cover no centre.
+  vis::UniformGrid waves = sphere_grid(21, {10, 10, 10});
+  {
+    auto d = waves.point_data.find("dist")->as_mutable<float>();
+    for (std::uint32_t k = 0; k < 21; ++k)
+      for (std::uint32_t j = 0; j < 21; ++j)
+        for (std::uint32_t i = 0; i < 21; ++i) {
+          const Vec3 p = waves.point(i, j, k);
+          d[waves.point_index(i, j, k)] +=
+              1.5f * std::sin(0.9f * p.x) * std::cos(0.7f * p.y + 0.4f * p.z);
+        }
+    for (std::size_t p = 11; p < d.size(); p += 211)
+      d[p] = std::numeric_limits<float>::quiet_NaN();
+  }
+  const ColorMap world_cmap{ColorMapKind::cool_warm, 0, 12};
+  for (const vis::UniformGrid& g : {sphere_grid(17, {8, 8, 8}), waves}) {
+    for (const float iso : {5.0f, 7.5f}) {
+      const Camera cam = Camera::framing(g.bounds());
+      FrameBuffer ref(kCoverW, kCoverH), contour(kCoverW, kCoverH);
+      {
+        OrderedTarget target(contour);
+        for (std::uint32_t k = 0; k + 1 < g.dims[2]; ++k) {
+          vis::TriangleMesh layer;
+          vis::isosurface_layers(g, "dist", iso, "", k, k + 1, layer);
+          reference::mesh(ref, layer, cam, world_cmap);
+          EXPECT_EQ(rasterize_isosurface(target, k, g, "dist", iso, "", k,
+                                         k + 1, cam, world_cmap),
+                    layer.triangle_count());
+        }
+      }
+      EXPECT_GT(active_pixels(ref), 100) << "iso " << iso;
+      EXPECT_TRUE(same(contour, ref)) << "contour, iso " << iso;
+      const vis::TriangleMesh m = vis::isosurface(g, "dist", iso);
+      for (const bool avx2 : {false, common::simd::avx2()}) {
+        FrameBuffer mesh_ref(kCoverW, kCoverH), mesh_got(kCoverW, kCoverH);
+        reference::mesh(mesh_ref, m, cam, world_cmap);
+        detail::rasterize(mesh_got, m, cam, world_cmap, avx2);
+        EXPECT_TRUE(same(mesh_got, mesh_ref))
+            << "mesh, iso " << iso << ", avx2 " << avx2;
+      }
+    }
   }
 }
 

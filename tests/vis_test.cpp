@@ -17,6 +17,9 @@
 
 #include "apps/gray_scott.hpp"
 #include "apps/mandelbulb.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "vis/contour.hpp"
 #include "vis/data.hpp"
 #include "vis/filters.hpp"
 #include "vis/vtk_writer.hpp"
@@ -540,6 +543,121 @@ TEST(Isosurface, LeanerContourMatchesThePreChangeContour) {
       expect_same_contours(holes, "v", level, "u", "NaN samples",
                            /*clip=*/true);
   }
+}
+
+// isosurface()'s sink, for driving detail::contour_layers on either
+// straddle-scan path: each triangle appended as three points with unit
+// normals.
+struct MeshSink {
+  using Vertex = EdgeVertex;
+  TriangleMesh& out;
+
+  Vertex vertex(const EdgeVertex& v) const {
+    return {v.pos, v.normal.normalized(), v.color};
+  }
+  void end_cell() {}
+  void triangle(const Vertex& a, const Vertex& b, const Vertex& c) {
+    const auto base = static_cast<std::uint32_t>(out.points.size());
+    for (const Vertex* v : {&a, &b, &c}) {
+      out.points.push_back(v->pos);
+      out.normals.push_back(v->normal);
+      out.scalars.push_back(v->color);
+    }
+    out.triangles.insert(out.triangles.end(), {base, base + 1, base + 2});
+  }
+};
+
+// The straddle scan decides 8 cells of a row per step, the last step of a
+// row masked to the cells left. On rows of 1 to 17 cells, which end on
+// every tail length, with samples exactly at the isovalue, one ulp either
+// side of it, and NaN: both scan paths give each cell's mask bit as the
+// corners' own v > iso / v <= iso tests do, and contour every layer, and
+// the whole grid, to the pre-change contour's bytes.
+TEST(Isosurface, StraddleScanMatchesThePreChangeContour) {
+  constexpr float kIso = 0.5f;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(12);
+  auto sample = [&] {
+    switch (rng.below(6)) {
+      case 0: return kIso;
+      case 1: return std::nextafter(kIso, 1.0f);
+      case 2: return std::nextafter(kIso, 0.0f);
+      case 3: return nan;
+      default: return static_cast<float>(rng.uniform(-0.5, 1.5));
+    }
+  };
+  std::vector<bool> paths{false};
+  if (common::simd::avx2()) paths.push_back(true);
+  std::size_t triangles = 0;  // in the whole grids, over both paths
+
+  for (std::uint32_t cells = 1; cells <= 17; ++cells) {
+    // The mask, lane by lane. Past each row's last point lies a sample that
+    // would make a cell straddle, so a scan that reads beyond the row sets
+    // a bit it must not.
+    for (int trial = 0; trial < 64; ++trial) {
+      std::array<std::vector<float>, 4> points;
+      for (auto& row : points) {
+        row.resize(cells + 1);
+        for (float& v : row) v = sample();
+        row.push_back(&row == &points[0] ? kIso - 1 : kIso + 1);
+      }
+      const detail::PointRows rows{points[0].data(), points[1].data(),
+                                   points[2].data(), points[3].data()};
+      for (std::uint32_t i0 = 0; i0 < cells; i0 += 8) {
+        const int lanes = static_cast<int>(std::min(8u, cells - i0));
+        unsigned want = 0;
+        for (int l = 0; l < lanes; ++l) {
+          const std::uint32_t i = i0 + static_cast<std::uint32_t>(l);
+          bool above = false, below = false;
+          for (const auto& row : points) {
+            for (const float v : {row[i], row[i + 1]}) {
+              above |= v > kIso;
+              below |= v <= kIso;
+            }
+          }
+          if (above && below) want |= 1u << l;
+        }
+        EXPECT_EQ(detail::straddle8_scalar(rows, i0, lanes, kIso), want)
+            << cells << " cells, from " << i0 << ", trial " << trial;
+#if defined(__x86_64__)
+        if (common::simd::avx2()) {
+          EXPECT_EQ(detail::straddle8_avx2(rows, i0, lanes, kIso), want)
+              << cells << " cells, from " << i0 << ", trial " << trial;
+        }
+#endif
+      }
+    }
+
+    // The contour: three cell layers of two rows each.
+    for (int trial = 0; trial < 4; ++trial) {
+      UniformGrid g;
+      g.dims = {cells + 1, 3, 4};
+      g.origin = {0.5f, -1.0f, 2.0f};
+      g.spacing = {0.75f, 1.0f, 1.25f};
+      std::vector<float> f(g.point_count()), color(g.point_count());
+      for (float& v : f) v = sample();
+      for (float& c : color) c = static_cast<float>(rng.uniform());
+      g.point_data.add(DataArray::make<float>("f", f));
+      g.point_data.add(DataArray::make<float>("c", color));
+      const std::uint32_t layers = g.dims[2] - 1;
+      for (const bool avx2 : paths) {
+        for (std::uint32_t k = 0; k <= layers; ++k) {
+          // k == layers stands for the whole grid.
+          const std::uint32_t k0 = k == layers ? 0 : k;
+          const std::uint32_t k1 = k == layers ? layers : k + 1;
+          TriangleMesh want, got;
+          reference::reference_layers(g, "f", kIso, "c", k0, k1, want);
+          MeshSink sink{got};
+          detail::contour_layers(g, "f", kIso, "c", k0, k1, sink, avx2);
+          EXPECT_TRUE(same_mesh(got, want))
+              << cells << " cells, trial " << trial << ", layers " << k0
+              << "-" << k1 << ", avx2 " << avx2;
+          if (k == layers) triangles += want.triangle_count();
+        }
+      }
+    }
+  }
+  EXPECT_GT(triangles, 1000u);
 }
 
 // ------------------------------------------------------------------ clip
